@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+
 #include "common/metrics.h"
 
 namespace wnrs {
@@ -56,18 +58,20 @@ void ThreadPool::RunJob(Job* job) {
   tls_in_parallel_region = was_in_region;
 }
 
+ThreadPool::Job* ThreadPool::NextOpenJob() const {
+  for (Job* job : jobs_) {
+    if (job->next.load(std::memory_order_relaxed) < job->end) return job;
+  }
+  return nullptr;
+}
+
 void ThreadPool::WorkerLoop() {
-  uint64_t last_seq = 0;
   for (;;) {
     Job* job = nullptr;
     {
       MutexLock lock(mu_);
-      while (!stop_ && !(job_ != nullptr && job_seq_ != last_seq)) {
-        work_cv_.Wait(mu_);
-      }
+      while (!stop_ && (job = NextOpenJob()) == nullptr) work_cv_.Wait(mu_);
       if (stop_) return;
-      job = job_;
-      last_seq = job_seq_;
       ++job->active;
     }
     MetricRecord(HistogramId::kPoolQueueWaitMicros,
@@ -90,13 +94,12 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   const size_t total = end - begin;
   // Serial paths: a 1-thread pool, a single-element range (fn may still
   // parallelize internally), or a nested call from inside a running loop
-  // (must not re-enter submit_mu_, and the pool is busy anyway).
+  // (the workers are busy with the outer loop anyway).
   if (workers_.empty() || total == 1 || tls_in_parallel_region) {
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }
 
-  MutexLock submit_lock(submit_mu_);
   MetricAdd(CounterId::kPoolParallelFors);
   Job job;
   job.begin = begin;
@@ -106,8 +109,7 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   job.submitted = std::chrono::steady_clock::now();
   {
     MutexLock lock(mu_);
-    job_ = &job;
-    ++job_seq_;
+    jobs_.push_back(&job);
   }
   work_cv_.NotifyAll();
   RunJob(&job);
@@ -117,7 +119,7 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
              job.active == 0)) {
       done_cv_.Wait(mu_);
     }
-    job_ = nullptr;
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
   }
 }
 

@@ -28,7 +28,9 @@ namespace wnrs {
 /// submitting thread while it participates in its own loop — degrade to
 /// the plain serial loop, so parallel code composes freely without
 /// deadlock or thread oversubscription. Concurrent ParallelFor calls from
-/// distinct external threads are serialized against each other.
+/// distinct external threads run at the same time: each submitter works
+/// its own loop, and an idle worker joins the oldest loop that still has
+/// unclaimed indices.
 ///
 /// A pool with `num_threads == 1` owns no worker threads and runs every
 /// loop inline in the calling thread: the bit-exact serial fallback.
@@ -84,20 +86,20 @@ class ThreadPool {
 
   void WorkerLoop();
   void RunJob(Job* job);
+  /// The oldest listed job with unclaimed indices, or nullptr.
+  Job* NextOpenJob() const WNRS_REQUIRES(mu_);
 
   size_t num_threads_ = 1;
   std::vector<std::thread> workers_;
 
-  /// Serializes concurrent ParallelFor submissions from distinct threads.
-  /// Ordered strictly before mu_ (never acquire submit_mu_ with mu_ held).
-  Mutex submit_mu_;
-
-  /// Guards job_, job_seq_, stop_, and Job::active.
+  /// Guards jobs_, stop_, and Job::active.
   Mutex mu_;
   CondVar work_cv_;  // Workers wait here for a new job.
-  CondVar done_cv_;  // The submitter waits for completion.
-  Job* job_ WNRS_GUARDED_BY(mu_) = nullptr;
-  uint64_t job_seq_ WNRS_GUARDED_BY(mu_) = 0;
+  CondVar done_cv_;  // Submitters wait here for their job to complete.
+  /// Every running ParallelFor, in submission order. A submitter appends
+  /// its job and unlinks it once the job is complete and no worker is
+  /// left inside it.
+  std::vector<Job*> jobs_ WNRS_GUARDED_BY(mu_);
   bool stop_ WNRS_GUARDED_BY(mu_) = false;
 };
 

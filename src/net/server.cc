@@ -122,6 +122,7 @@ void WnrsServer::AcceptLoop() {
       fd = ::accept(listen_fd_, nullptr, nullptr);
     } while (fd < 0 && errno == EINTR);
     if (fd < 0) return;  // Stop() shut the listener down (or fatal error).
+    SetNoDelay(fd);
     MutexLock lock(mu_);
     if (stopped_) {
       CloseFd(fd);

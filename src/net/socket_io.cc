@@ -67,14 +67,17 @@ Result<uint16_t> LocalPort(int fd) {
   return NetToHostU16(addr.sin_port);
 }
 
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 Result<int> TcpConnect(const std::string& host, uint16_t port) {
   auto addr = MakeAddr(host, port);
   if (!addr.ok()) return addr.status();
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Errno("socket");
-  const int one = 1;
-  // Frames are small and latency-measured; don't let Nagle batch them.
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(fd);
   const auto& sa = addr.value();
   int rc;
   do {

@@ -24,7 +24,13 @@ Result<int> TcpListen(const std::string& host, uint16_t port, int backlog);
 /// The locally bound port of a socket fd.
 Result<uint16_t> LocalPort(int fd);
 
-/// Connects to host:port; returns the fd.
+/// Disables Nagle's algorithm on a connected socket: frames are small
+/// and latency-measured, so each one leaves at once instead of waiting
+/// for the peer's (possibly delayed) ACK of the previous one. Both ends
+/// of every wire connection set it; ignores errors.
+void SetNoDelay(int fd);
+
+/// Connects to host:port (with SetNoDelay); returns the fd.
 Result<int> TcpConnect(const std::string& host, uint16_t port);
 
 /// Writes all of `data`, looping over partial sends. SIGPIPE is

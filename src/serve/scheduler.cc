@@ -6,6 +6,7 @@
 
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 
 namespace wnrs {
 namespace serve {
@@ -37,7 +38,11 @@ RequestScheduler::RequestScheduler(
     : backend_(std::move(backend)),
       options_(options),
       paused_(options.start_paused) {
-  dispatcher_ = std::thread(&RequestScheduler::DispatcherLoop, this);
+  const size_t num_workers = ThreadPool::HardwareConcurrency();
+  workers_.reserve(num_workers);
+  for (size_t i = 0; i < num_workers; ++i) {
+    workers_.emplace_back(&RequestScheduler::WorkerLoop, this);
+  }
 }
 
 RequestScheduler::~RequestScheduler() { Shutdown(); }
@@ -71,7 +76,7 @@ std::future<WhyNotResponse> RequestScheduler::Submit(WhyNotRequest request) {
   pending.seq = next_seq_++;
   pending.submitted = std::chrono::steady_clock::now();
   // Relative timeouts resolve against the submit timestamp, here and
-  // nowhere else — by the time the dispatcher sees the request only the
+  // nowhere else — by the time a worker sees the request only the
   // absolute form remains.
   pending.deadline = EffectiveDeadline(pending.request, pending.submitted);
   queue_.push_back(std::move(pending));
@@ -79,7 +84,7 @@ std::future<WhyNotResponse> RequestScheduler::Submit(WhyNotRequest request) {
   MetricSetGauge(GaugeId::kServeQueueDepth,
                  static_cast<int64_t>(queue_.size()));
   lock.Release();
-  cv_.NotifyAll();
+  cv_.NotifyOne();
   return future;
 }
 
@@ -111,8 +116,8 @@ void RequestScheduler::Resume() {
 }
 
 void RequestScheduler::Shutdown() {
-  // Serialize whole shutdowns: only one caller may join the dispatcher
-  // (a second concurrent join would be UB), and a racing caller must not
+  // Serialize whole shutdowns: only one caller may join the workers (a
+  // second concurrent join would be UB), and a racing caller must not
   // return before the queue is drained — callers rely on every
   // previously submitted future being fulfilled when Shutdown returns.
   MutexLock shutdown_lock(shutdown_mu_);
@@ -121,7 +126,9 @@ void RequestScheduler::Shutdown() {
     shutdown_ = true;
   }
   cv_.NotifyAll();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
   std::deque<Pending> leftover;
   {
     MutexLock lock(mu_);
@@ -144,9 +151,10 @@ SchedulerStats RequestScheduler::stats() const {
   return stats_;
 }
 
-void RequestScheduler::DispatcherLoop() {
+void RequestScheduler::WorkerLoop() {
   for (;;) {
     std::vector<Pending> batch;
+    std::chrono::steady_clock::time_point dispatch_time;
     {
       MutexLock lock(mu_);
       while (!shutdown_ && (paused_ || queue_.empty())) cv_.Wait(mu_);
@@ -175,8 +183,11 @@ void RequestScheduler::DispatcherLoop() {
       std::reverse(batch.begin(), batch.end());  // Back to submission order.
       MetricSetGauge(GaugeId::kServeQueueDepth,
                      static_cast<int64_t>(queue_.size()));
+      // Stamped under mu_, so queue waits follow pull order even when
+      // several workers pull at once.
+      dispatch_time = std::chrono::steady_clock::now();
     }
-    ExecuteBatch(std::move(batch));
+    ExecuteBatch(std::move(batch), dispatch_time);
   }
 }
 
@@ -258,8 +269,9 @@ WhyNotResponse RequestScheduler::ExecuteOne(
   return response;
 }
 
-void RequestScheduler::ExecuteBatch(std::vector<Pending> batch) {
-  const auto dispatch_time = std::chrono::steady_clock::now();
+void RequestScheduler::ExecuteBatch(
+    std::vector<Pending> batch,
+    std::chrono::steady_clock::time_point dispatch_time) {
   const bool shared = batch.size() >= 2;
   if (shared) {
     MetricAdd(CounterId::kServeBatchShareHits,

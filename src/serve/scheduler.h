@@ -45,13 +45,16 @@ struct SchedulerStats {
 /// request/response types live in serve/api.h (they are shared with the
 /// wire protocol in src/net/).
 ///
-/// A single dispatcher thread drains a priority+FIFO queue. Each dispatch
-/// takes the backend snapshot current at that moment, pulls every queued
-/// request with the same query point q (up to max_batch), and answers
-/// them against that one snapshot — the safe region and reverse skyline
-/// of q are computed once and shared across the batch through the
-/// snapshot's synchronized caches, and same-semantics MWQ runs fan out on
-/// the backend's existing ThreadPool (no second pool). Backend mutations
+/// ThreadPool::HardwareConcurrency() worker threads drain one
+/// priority+FIFO queue. A worker pulls the highest-priority, oldest
+/// request together with every queued request sharing its query point q
+/// (up to max_batch), takes the backend snapshot current at that moment,
+/// and answers the batch against that one snapshot outside the queue lock
+/// — the safe region and reverse skyline of q are computed once and shared
+/// across the batch through the snapshot's synchronized caches, and
+/// same-semantics MWQ runs fan out on the backend's existing ThreadPool
+/// (no second pool). Batches run on several workers at once: every request
+/// is a read-only traversal of an immutable snapshot. Backend mutations
 /// interleave freely: a batch in flight keeps its snapshot while the next
 /// dispatch observes the new one.
 ///
@@ -95,13 +98,15 @@ class RequestScheduler {
   /// promise/future machinery of the rejected-submit path.
   [[nodiscard]] WhyNotResponse SubmitAndWait(WhyNotRequest request);
 
-  /// Halts dispatching (in-flight batches finish); Submit still admits.
+  /// Stops every worker from pulling new batches (in-flight batches
+  /// finish); Submit still admits.
   void Pause();
   void Resume();
 
-  /// Stops the dispatcher and fails every still-queued request with
-  /// Unavailable. When Shutdown returns, every future handed out by an
-  /// earlier Submit is fulfilled. Idempotent; the destructor calls it.
+  /// Stops every worker (in-flight batches finish) and fails every
+  /// still-queued request with Unavailable. When Shutdown returns, every
+  /// future handed out by an earlier Submit is fulfilled. Idempotent; the
+  /// destructor calls it.
   void Shutdown();
 
   /// Requests currently queued (excludes in-flight dispatches).
@@ -119,8 +124,10 @@ class RequestScheduler {
     std::optional<std::chrono::steady_clock::time_point> deadline;
   };
 
-  void DispatcherLoop();
-  void ExecuteBatch(std::vector<Pending> batch);
+  void WorkerLoop();
+  /// Answers one pulled batch; `dispatch_time` is when it left the queue.
+  void ExecuteBatch(std::vector<Pending> batch,
+                    std::chrono::steady_clock::time_point dispatch_time);
   /// Runs one validated request against the shared snapshot.
   WhyNotResponse ExecuteOne(const QuerySnapshot& snapshot,
                             const WhyNotRequest& request) const;
@@ -136,12 +143,12 @@ class RequestScheduler {
   bool shutdown_ WNRS_GUARDED_BY(mu_) = false;
   SchedulerStats stats_ WNRS_GUARDED_BY(mu_);
 
-  /// Serializes Shutdown callers: the first one joins the dispatcher and
+  /// Serializes Shutdown callers: the first one joins the workers and
   /// drains the queue while any later caller blocks here until that is
   /// done (two threads joining the same std::thread is UB). Ordered
   /// strictly before mu_ (never acquire shutdown_mu_ with mu_ held).
   Mutex shutdown_mu_;
-  std::thread dispatcher_ WNRS_GUARDED_BY(shutdown_mu_);
+  std::vector<std::thread> workers_ WNRS_GUARDED_BY(shutdown_mu_);
 };
 
 }  // namespace serve

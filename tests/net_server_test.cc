@@ -128,6 +128,10 @@ TEST(NetServerTest, LoopbackAnswersMatchDirectEngineForAllKinds) {
   ExpectCandidatesEqual(r.value().mwq().query_candidates,
                         approx.query_candidates);
 
+  // The writer counts a response only after its send returns, which can
+  // be after the client has read it. Stop joins every writer, so the
+  // counts are final once it returns.
+  server.value()->Stop();
   const ServerStats stats = server.value()->stats();
   EXPECT_EQ(stats.connections_accepted, 1u);
   EXPECT_EQ(stats.frames_received, 7u);
@@ -406,8 +410,12 @@ TEST(NetServerTest, MultipleConnectionsServeConcurrently) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(server.value()->stats().connections_accepted, kClients);
-  EXPECT_EQ(server.value()->stats().responses_sent, kClients * 5);
+  // Read the counters only once Stop has joined every writer (see
+  // LoopbackAnswersMatchDirectEngineForAllKinds).
+  server.value()->Stop();
+  const ServerStats stats = server.value()->stats();
+  EXPECT_EQ(stats.connections_accepted, kClients);
+  EXPECT_EQ(stats.responses_sent, kClients * 5);
 }
 
 }  // namespace

@@ -11,9 +11,12 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/annotated_mutex.h"
+#include "common/thread_pool.h"
 #include "data/generators.h"
 
 namespace wnrs {
@@ -435,6 +438,105 @@ TEST(ServeTest, ConcurrentShutdownIsSerializedAndIdempotent) {
                   .status.code(),
               StatusCode::kUnavailable);
   }
+}
+
+/// A snapshot whose TryReverseSkyline returns only once two calls are
+/// inside it at the same time, and fails after 5 s of waiting. Every
+/// other kind is unimplemented.
+class RendezvousSnapshot final : public QuerySnapshot {
+ public:
+  Result<std::vector<size_t>> TryReverseSkyline(const Point&) const override {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    MutexLock lock(mu_);
+    if (++inside_ == 2) {
+      met_ = true;
+      cv_.NotifyAll();
+    }
+    while (!met_) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= give_up) {
+        --inside_;
+        return Status::DeadlineExceeded("no second call arrived");
+      }
+      cv_.WaitFor(mu_, give_up - now);
+    }
+    --inside_;
+    return std::vector<size_t>{};
+  }
+  Result<WhyNotExplanation> TryExplain(size_t, const Point&) const override {
+    return Unused();
+  }
+  Result<MwpResult> TryModifyWhyNot(size_t, const Point&,
+                                    Semantics) const override {
+    return Unused();
+  }
+  Result<MqpResult> TryModifyQuery(size_t, const Point&,
+                                   Semantics) const override {
+    return Unused();
+  }
+  Result<std::shared_ptr<const SafeRegionResult>> TrySafeRegion(
+      const Point&) const override {
+    return Unused();
+  }
+  Result<std::shared_ptr<const SafeRegionResult>> TryApproxSafeRegion(
+      const Point&) const override {
+    return Unused();
+  }
+  Result<MwqResult> TryModifyBoth(size_t, const Point&,
+                                  Semantics) const override {
+    return Unused();
+  }
+  Result<MwqResult> TryModifyBothApprox(size_t, const Point&,
+                                        Semantics) const override {
+    return Unused();
+  }
+  Result<std::vector<MwqResult>> TryModifyBothBatch(
+      const std::vector<size_t>&, const Point&, bool,
+      Semantics) const override {
+    return Unused();
+  }
+
+ private:
+  static Status Unused() { return Status::Unimplemented("not in this test"); }
+
+  mutable Mutex mu_;
+  mutable CondVar cv_;
+  /// Calls inside TryReverseSkyline right now.
+  mutable int inside_ WNRS_GUARDED_BY(mu_) = 0;
+  /// Set once two calls were inside at the same time.
+  mutable bool met_ WNRS_GUARDED_BY(mu_) = false;
+};
+
+class RendezvousBackend final : public QueryBackend {
+ public:
+  std::shared_ptr<const QuerySnapshot> Snapshot() const override {
+    return snapshot_;
+  }
+
+ private:
+  const std::shared_ptr<const QuerySnapshot> snapshot_ =
+      std::make_shared<const RendezvousSnapshot>();
+};
+
+// Requests for different query points run on different workers at once:
+// each blocks inside the snapshot until the other is there too. A single
+// dispatcher thread would hold one of them alone until it timed out.
+TEST(ServeTest, DifferentQueriesRunConcurrently) {
+  if (ThreadPool::HardwareConcurrency() < 2) {
+    GTEST_SKIP() << "one hardware thread: the scheduler has one worker";
+  }
+  RequestScheduler scheduler(std::make_shared<const RendezvousBackend>());
+  std::future<WhyNotResponse> a = scheduler.Submit(
+      MakeRequest(RequestKind::kReverseSkyline, Point({1.0, 2.0})));
+  std::future<WhyNotResponse> b = scheduler.Submit(
+      MakeRequest(RequestKind::kReverseSkyline, Point({3.0, 4.0})));
+  const WhyNotResponse ra = a.get();
+  const WhyNotResponse rb = b.get();
+  EXPECT_TRUE(ra.status.ok()) << ra.status.ToString();
+  EXPECT_TRUE(rb.status.ok()) << rb.status.ToString();
+  EXPECT_FALSE(ra.shared_batch);
+  EXPECT_FALSE(rb.shared_batch);
 }
 
 TEST(ServeTest, RequestKindNamesAreStable) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -91,19 +92,55 @@ TEST(ThreadPoolTest, SingleElementRangeMayStillParallelizeInside) {
   }
 }
 
-TEST(ThreadPoolTest, ConcurrentSubmittersAreSerializedSafely) {
+// Loops submitted from several external threads at once share the
+// workers; every loop still runs each of its indices exactly once.
+TEST(ThreadPoolTest, ConcurrentSubmittersEachRunEveryIndexOnce) {
   ThreadPool pool(4);
-  constexpr size_t kN = 4096;
-  std::vector<int> a(kN, 0);
-  std::vector<int> b(kN, 0);
-  std::thread other(
-      [&] { pool.ParallelFor(0, kN, [&](size_t i) { ++a[i]; }); });
-  pool.ParallelFor(0, kN, [&](size_t i) { ++b[i]; });
-  other.join();
-  for (size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(a[i], 1);
-    ASSERT_EQ(b[i], 1);
+  constexpr size_t kSubmitters = 4;
+  constexpr size_t kN = 1024;
+  std::vector<std::vector<int>> hits(kSubmitters, std::vector<int>(kN, 0));
+  std::vector<std::thread> submitters;
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        pool.ParallelFor(0, kN, [&](size_t i) { ++hits[t][i]; });
+      }
+    });
   }
+  for (std::thread& th : submitters) th.join();
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    for (size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[t][i], 20) << "submitter=" << t << " i=" << i;
+    }
+  }
+}
+
+// Two external submitters' loops run at the same time rather than one
+// after the other: every body of each loop waits (bounded) until the
+// other loop's first index has run. If the pool ran the loops in turn,
+// the first one's bodies would all time out.
+TEST(ThreadPoolTest, ConcurrentSubmittersRunTheirLoopsAtOnce) {
+  ThreadPool pool(4);
+  constexpr size_t kN = 8;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::atomic<bool> started[2] = {false, false};
+  std::atomic<size_t> met[2] = {0, 0};
+  auto run = [&](int self) {
+    pool.ParallelFor(0, kN, [&](size_t) {
+      started[self].store(true);
+      while (!started[1 - self].load() &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      if (started[1 - self].load()) met[self].fetch_add(1);
+    });
+  };
+  std::thread other([&] { run(1); });
+  run(0);
+  other.join();
+  EXPECT_EQ(met[0].load(), kN);
+  EXPECT_EQ(met[1].load(), kN);
 }
 
 TEST(ThreadPoolTest, ManySmallJobsDoNotLeakOrHang) {

@@ -10,6 +10,8 @@
 //   bbs-{dynamic,packed}     BbsDynamicSkyline per workload query
 //   bbrs-{dynamic,packed}    BbrsReverseSkyline per workload query
 //   window-{dynamic,packed}  WindowSkyline + WindowEmpty probes
+//   whynot-{dynamic,packed}  engine Explain + SafeRegion + ModifyBoth per
+//                            fresh (q, c), use_packed_read_path off / on
 // plus a "freeze" config capturing the publish-time cost of
 // PackedRTree::Freeze itself.
 
@@ -18,6 +20,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "core/engine.h"
 #include "index/packed_rtree.h"
 #include "index/rtree.h"
 #include "reverse_skyline/bbrs.h"
@@ -30,6 +33,7 @@ namespace {
 struct Workload {
   std::vector<Point> queries;     // BBS origins / BBRS query products.
   std::vector<Point> customers;   // Window-query customers (paired).
+  std::vector<size_t> customer_ids;  // Their dataset indices.
 };
 
 Workload MakeQueries(const Dataset& data, size_t count, uint64_t seed) {
@@ -43,7 +47,8 @@ Workload MakeQueries(const Dataset& data, size_t count, uint64_t seed) {
       q[i] *= rng.NextDouble(0.95, 1.05);
     }
     w.queries.push_back(std::move(q));
-    w.customers.push_back(data.points[rng.NextUint64(data.size())]);
+    w.customer_ids.push_back(rng.NextUint64(data.size()));
+    w.customers.push_back(data.points[w.customer_ids.back()]);
   }
   return w;
 }
@@ -140,6 +145,41 @@ int Run(int argc, char** argv) {
   window.packed_ms = timer.ElapsedMillis();
   reporter.End();
   timings.push_back(window);
+
+  // --- Why-not kinds through the engine: the same (q, c) stream with the
+  // packed read path off and on. Every q is fresh to both engines, so
+  // each call builds its RSL and safe region. ---
+  WhyNotEngineOptions engine_options;
+  engine_options.num_threads = 1;
+  engine_options.use_packed_read_path = false;
+  const WhyNotEngine dynamic_engine(data, engine_options);
+  engine_options.use_packed_read_path = true;
+  const WhyNotEngine packed_engine(data, engine_options);
+  auto whynot_sum = [&](const WhyNotEngine& engine) {
+    size_t sum = 0;
+    for (size_t k = 0; k < workload.queries.size(); ++k) {
+      const Point& q = workload.queries[k];
+      const size_t c = workload.customer_ids[k];
+      const WhyNotExplanation why = engine.Explain(c, q);
+      sum += why.culprits.size() + why.frontier.size();
+      sum += engine.SafeRegion(q).region.size();
+      const MwqResult mwq = engine.ModifyBoth(c, q);
+      sum += mwq.query_candidates.size() + mwq.why_not_candidates.size();
+    }
+    return sum;
+  };
+  Timing whynot{"whynot"};
+  reporter.Begin("whynot-dynamic");
+  timer.Restart();
+  dynamic_sum += whynot_sum(dynamic_engine);
+  whynot.dynamic_ms = timer.ElapsedMillis();
+  reporter.End();
+  reporter.Begin("whynot-packed");
+  timer.Restart();
+  packed_sum += whynot_sum(packed_engine);
+  whynot.packed_ms = timer.ElapsedMillis();
+  reporter.End();
+  timings.push_back(whynot);
 
   std::printf("\n--- packed read path: CarDB-%zu, %zu queries ---\n", n,
               num_queries);

@@ -439,9 +439,18 @@ struct EngineCore {
     return out;
   }
 
+  /// Λ from one window query; F from the window skyline with origin q,
+  /// which yields the same ascending ids as a BNL pass over Λ
+  /// (ExplainWhyNotFromCulprits) without mapping every culprit.
   WhyNotExplanation Explain(size_t c, const Point& q) const {
-    return ExplainWhyNot(*tree, products->points, CustomerPoint(c), q,
-                         ExcludeFor(c));
+    const Point& cp = CustomerPoint(c);
+    WhyNotExplanation out;
+    out.culprits = ProductWindowHits(cp, q, ExcludeFor(c));
+    out.already_member = out.culprits.empty();
+    if (!out.already_member) {
+      out.frontier = ProductWindowFrontier(cp, q, /*origin=*/q, ExcludeFor(c));
+    }
+    return out;
   }
 
   std::optional<Point> NudgeToStrictMember(const Point& c_star, const Point& q,
@@ -479,14 +488,23 @@ struct EngineCore {
                        options.epsilon_fraction, StrictProbeFor(c), r);
   }
 
+  /// Algorithm 1 at boundary semantics: from the window-skyline frontier
+  /// (fast_frontier), else from the full culprit set.
+  MwpResult ModifyWhyNotBoundary(size_t c, const Point& q) const {
+    const Point& cp = CustomerPoint(c);
+    if (options.fast_frontier) {
+      return ModifyWhyNotPointFromFrontier(
+          products->points,
+          ProductWindowFrontier(cp, q, /*origin=*/q, ExcludeFor(c)), cp, q,
+          cost_model, options.sort_dim);
+    }
+    return ModifyWhyNotPointFromCulprits(
+        products->points, ProductWindowHits(cp, q, ExcludeFor(c)), cp, q,
+        cost_model, options.sort_dim);
+  }
+
   MwpResult ModifyWhyNot(size_t c, const Point& q, Semantics semantics) const {
-    MwpResult out =
-        options.fast_frontier
-            ? ModifyWhyNotPointFast(*tree, products->points, CustomerPoint(c),
-                                    q, cost_model, options.sort_dim,
-                                    ExcludeFor(c))
-            : ModifyWhyNotPoint(*tree, products->points, CustomerPoint(c), q,
-                                cost_model, options.sort_dim, ExcludeFor(c));
+    MwpResult out = ModifyWhyNotBoundary(c, q);
     if (semantics == Semantics::kStrict) ApplyStrictMwp(c, q, &out);
     if (options.paranoid_checks) {
       const Status s = ValidateMwpAnswer(MakeValidationInput(), c, q, out);
@@ -496,13 +514,16 @@ struct EngineCore {
   }
 
   MqpResult ModifyQuery(size_t c, const Point& q, Semantics semantics) const {
+    const Point& cp = CustomerPoint(c);
     MqpResult out =
         options.fast_frontier
-            ? ModifyQueryPointFast(*tree, products->points, CustomerPoint(c),
-                                   q, cost_model, options.sort_dim,
-                                   ExcludeFor(c))
-            : ModifyQueryPoint(*tree, products->points, CustomerPoint(c), q,
-                               cost_model, options.sort_dim, ExcludeFor(c));
+            ? ModifyQueryPointFromFrontier(
+                  products->points,
+                  ProductWindowFrontier(cp, q, /*origin=*/cp, ExcludeFor(c)),
+                  cp, q, cost_model, options.sort_dim)
+            : ModifyQueryPointFromCulprits(
+                  products->points, ProductWindowHits(cp, q, ExcludeFor(c)),
+                  cp, q, cost_model, options.sort_dim);
     if (semantics == Semantics::kStrict) ApplyStrictMqp(c, q, &out);
     if (options.paranoid_checks) {
       const Status s = ValidateMqpAnswer(MakeValidationInput(), c, q, out);
@@ -523,8 +544,13 @@ struct EngineCore {
     sr_options.max_rectangles = options.max_safe_region_rectangles;
     const std::vector<size_t> rsl = ReverseSkyline(q);
     auto computed = std::make_shared<const SafeRegionResult>(
-        ComputeSafeRegion(*tree, products->points, customer_dataset().points,
-                          rsl, q, universe, shared_relation, sr_options));
+        ComputeSafeRegionWithDsls(
+            products->points, customer_dataset().points, rsl, q, universe,
+            [this](size_t customer) {
+              return ProductDynamicSkyline(CustomerPoint(customer),
+                                           ExcludeFor(customer));
+            },
+            sr_options));
     if (options.paranoid_checks) {
       const Status s =
           ValidateSafeRegion(MakeValidationInput(), rsl, q, *computed);
@@ -612,40 +638,51 @@ struct EngineCore {
     WNRS_CHECK(s.ok()) << "paranoid MWQ answer: " << s.ToString();
   }
 
-  MwqResult ModifyBoth(size_t c, const Point& q, Semantics semantics) const {
-    std::shared_ptr<const SafeRegionResult> sr = SafeRegion(q);
+  /// Algorithm 4's three index probes for customer c, on this core's
+  /// packed-dispatching probes.
+  MwqPrimitives MakeMwqPrimitives(size_t c) const {
+    MwqPrimitives primitives;
+    primitives.window_empty = [this, c](const Point& probe_q) {
+      return ProductWindowEmpty(CustomerPoint(c), probe_q, ExcludeFor(c));
+    };
+    primitives.dynamic_skyline = [this, c] {
+      return ProductDynamicSkyline(CustomerPoint(c), ExcludeFor(c));
+    };
+    primitives.modify_why_not = [this, c](const Point& probe_q) {
+      return ModifyWhyNotBoundary(c, probe_q);
+    };
+    return primitives;
+  }
+
+  /// Algorithm 4 with q confined to `region` (exact, approximated or
+  /// clipped SR(q)).
+  MwqResult ModifyBothWithin(size_t c, const Point& q,
+                             const RectRegion& region,
+                             Semantics semantics) const {
     MwqResult out = ModifyQueryAndWhyNotPoint(
-        *tree, products->points, CustomerPoint(c), q, sr->region, universe,
-        cost_model, options.sort_dim, ExcludeFor(c), MakeKeepsMembersFn(q),
-        options.fast_frontier);
+        MakeMwqPrimitives(c), products->points, CustomerPoint(c), q, region,
+        universe, cost_model, options.sort_dim, MakeKeepsMembersFn(q));
     if (semantics == Semantics::kStrict) ApplyStrictMwq(c, &out);
     ParanoidCheckMwq(c, q, out);
     return out;
   }
 
+  MwqResult ModifyBoth(size_t c, const Point& q, Semantics semantics) const {
+    const std::shared_ptr<const SafeRegionResult> sr = SafeRegion(q);
+    return ModifyBothWithin(c, q, sr->region, semantics);
+  }
+
   MwqResult ModifyBothApprox(size_t c, const Point& q,
                              Semantics semantics) const {
-    std::shared_ptr<const SafeRegionResult> sr = ApproxSafeRegion(q);
-    MwqResult out = ModifyQueryAndWhyNotPoint(
-        *tree, products->points, CustomerPoint(c), q, sr->region, universe,
-        cost_model, options.sort_dim, ExcludeFor(c), MakeKeepsMembersFn(q),
-        options.fast_frontier);
-    if (semantics == Semantics::kStrict) ApplyStrictMwq(c, &out);
-    ParanoidCheckMwq(c, q, out);
-    return out;
+    const std::shared_ptr<const SafeRegionResult> sr = ApproxSafeRegion(q);
+    return ModifyBothWithin(c, q, sr->region, semantics);
   }
 
   MwqResult ModifyBothConstrained(size_t c, const Point& q,
                                   const Rectangle& limits,
                                   Semantics semantics) const {
-    const SafeRegionResult sr = ConstrainedSafeRegion(q, limits);
-    MwqResult out = ModifyQueryAndWhyNotPoint(
-        *tree, products->points, CustomerPoint(c), q, sr.region, universe,
-        cost_model, options.sort_dim, ExcludeFor(c), MakeKeepsMembersFn(q),
-        options.fast_frontier);
-    if (semantics == Semantics::kStrict) ApplyStrictMwq(c, &out);
-    ParanoidCheckMwq(c, q, out);
-    return out;
+    return ModifyBothWithin(c, q, ConstrainedSafeRegion(q, limits).region,
+                            semantics);
   }
 
   std::vector<size_t> LostCustomers(const Point& q, const Point& q_star) const {

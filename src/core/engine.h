@@ -47,10 +47,11 @@ struct WhyNotEngineOptions {
   std::vector<double> beta;
   /// Cap on safe-region rectangles (see SafeRegionOptions).
   size_t max_safe_region_rectangles = 8192;
-  /// Use the branch-and-bound window-skyline frontier for MWP/MQP
-  /// (identical candidates, runtime O(|F|) instead of O(|Λ|); the
-  /// reported culprit list then holds only the frontier). Explain()
-  /// always materializes the full culprit set regardless.
+  /// Use the branch-and-bound window-skyline frontier for MWP/MQP (and
+  /// MWQ's corner MWP calls): identical candidates, runtime O(|F|)
+  /// instead of O(|Λ|); the reported culprit list then holds only the
+  /// frontier. Explain() ignores it: it always reports the full culprit
+  /// set Λ, and always takes its frontier from the window skyline.
   bool fast_frontier = true;
   /// Nudge applied under Semantics::kStrict to turn closed-boundary
   /// answers into strict reverse-skyline members, as a fraction of each
@@ -62,13 +63,15 @@ struct WhyNotEngineOptions {
   /// execution with no worker threads. Every thread count produces
   /// identical results; only the scheduling differs.
   size_t num_threads = 0;
-  /// Serve the query hot loops (BBS, BBRS, window probes, range queries)
-  /// from a packed, arena-backed image of the R*-tree (PackedRTree)
-  /// frozen once per mutation at snapshot-publish time, instead of
-  /// pointer-chasing the dynamic tree. Results, node-read counts, and
-  /// traversal order are bit-identical either way; the packed path is
-  /// simply faster. Freeze cost is surfaced in the packed.freezes /
-  /// packed.freeze_ns metrics. Disable to A/B the two paths.
+  /// Serve every read kind (ReverseSkyline, Explain, MWP, MQP, safe
+  /// regions, MWQ and the membership probes) from a packed, arena-backed
+  /// image of the R*-tree (PackedRTree) frozen once per mutation at
+  /// snapshot-publish time, instead of pointer-chasing the dynamic tree.
+  /// Results, node-read counts, and traversal order are bit-identical
+  /// either way; the packed path is simply faster. Freeze cost is
+  /// surfaced in the packed.freezes / packed.freeze_ns metrics. Disable
+  /// for an all-dynamic engine to A/B the two paths. Mutations and the
+  /// paranoid validators use the dynamic tree regardless.
   bool use_packed_read_path = true;
   /// Re-verify every answer against ground truth before returning it:
   /// tree structure after each mutation (index/validate.h), safe-region

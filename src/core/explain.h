@@ -16,7 +16,10 @@ struct WhyNotExplanation {
   /// more interesting than q. Deleting them all would admit c_t (Lemma 1).
   std::vector<RStarTree::Id> culprits;
   /// The frontier F used by Algorithm 1: culprits not dynamically
-  /// dominated by another culprit w.r.t. q (the binding constraints).
+  /// dominated by another culprit w.r.t. q (the binding constraints),
+  /// ascending ids. The engines take it from the window skyline with
+  /// origin q (WindowSkyline); ExplainWhyNotFromCulprits computes the same
+  /// ids by BNL over Λ.
   std::vector<RStarTree::Id> frontier;
 };
 

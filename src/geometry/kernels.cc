@@ -1,5 +1,6 @@
 #include "geometry/kernels.h"
 
+#include <bit>
 #include <cmath>
 
 #include "geometry/kernels_scalar.h"
@@ -40,21 +41,23 @@ void DynamicallyDominatesBatchImpl(const double* points, size_t n, size_t d,
 }
 
 template <size_t D>
-bool DominatedByAnyImpl(const double* points, size_t n, size_t d,
-                        const double* p) {
+size_t FirstDominatorImpl(const double* points, size_t n, size_t d,
+                          const double* p) {
   const size_t step = D != 0 ? D : d;
   size_t i = 0;
   for (; i + kScanBlock <= n; i += kScanBlock) {
-    unsigned any = 0;
+    unsigned mask = 0;
     for (size_t k = 0; k < kScanBlock; ++k) {
-      any |= DominatesOne<D>(points + (i + k) * step, p, d);
+      mask |= static_cast<unsigned>(
+                  DominatesOne<D>(points + (i + k) * step, p, d))
+              << k;
     }
-    if (any != 0) return true;
+    if (mask != 0) return i + static_cast<size_t>(std::countr_zero(mask));
   }
   for (; i < n; ++i) {
-    if (DominatesOne<D>(points + i * step, p, d) != 0) return true;
+    if (DominatesOne<D>(points + i * step, p, d) != 0) return i;
   }
-  return false;
+  return n;
 }
 
 }  // namespace
@@ -88,14 +91,19 @@ void DynamicallyDominatesBatch(const double* points, size_t n, size_t d,
   }
 }
 
+size_t FirstDominator(const double* points, size_t n, size_t d,
+                      const double* p) {
+  switch (d) {
+    case 2: return FirstDominatorImpl<2>(points, n, d, p);
+    case 3: return FirstDominatorImpl<3>(points, n, d, p);
+    case 4: return FirstDominatorImpl<4>(points, n, d, p);
+    default: return FirstDominatorImpl<0>(points, n, d, p);
+  }
+}
+
 bool DominatedByAny(const double* points, size_t n, size_t d,
                     const double* p) {
-  switch (d) {
-    case 2: return DominatedByAnyImpl<2>(points, n, d, p);
-    case 3: return DominatedByAnyImpl<3>(points, n, d, p);
-    case 4: return DominatedByAnyImpl<4>(points, n, d, p);
-    default: return DominatedByAnyImpl<0>(points, n, d, p);
-  }
+  return FirstDominator(points, n, d, p) < n;
 }
 
 void BoxOverlapMaskSoa(const SoaPlanes& planes, size_t first, size_t count,
@@ -230,7 +238,7 @@ internal::KernelOps ScalarOps() {
   internal::KernelOps ops;
   ops.dominates_batch = &scalar_kernels::DominatesBatch;
   ops.dyn_dominates_batch = &scalar_kernels::DynamicallyDominatesBatch;
-  ops.dominated_by_any = &scalar_kernels::DominatedByAny;
+  ops.first_dominator = &scalar_kernels::FirstDominator;
   ops.box_overlap_mask_soa = &scalar_kernels::BoxOverlapMaskSoa;
   ops.mindist_corner_batch_soa = &scalar_kernels::MinDistCornerBatchSoa;
   ops.to_distance_space_batch_soa = &scalar_kernels::ToDistanceSpaceBatchSoa;
@@ -262,9 +270,14 @@ void DynamicallyDominatesBatch(const double* points, size_t n, size_t d,
   ActiveOps().dyn_dominates_batch(points, n, d, p, origin, out);
 }
 
+size_t FirstDominator(const double* points, size_t n, size_t d,
+                      const double* p) {
+  return ActiveOps().first_dominator(points, n, d, p);
+}
+
 bool DominatedByAny(const double* points, size_t n, size_t d,
                     const double* p) {
-  return ActiveOps().dominated_by_any(points, n, d, p);
+  return FirstDominator(points, n, d, p) < n;
 }
 
 void BoxOverlapMaskSoa(const SoaPlanes& planes, size_t first, size_t count,

@@ -80,10 +80,16 @@ void DynamicallyDominatesBatch(const double* points, size_t n, size_t d,
                                const double* p, const double* origin,
                                unsigned char* out);
 
-/// True iff any of the n points dominates `p` — the batch twin of the
-/// skyline-buffer scan in BBS/window-skyline loops. Scans in blocks so
-/// the inner comparisons vectorize while retaining early exit between
-/// blocks; the boolean result is identical to the scalar first-hit scan.
+/// Index of the first of the n points that dominates `p`, or n when none
+/// does — the batch twin of the skyline-buffer scan in BBS/window-skyline
+/// loops. Scans in blocks so the inner comparisons vectorize while
+/// retaining early exit between blocks, and takes the lowest set bit of
+/// the hit block's mask, so the result equals the scalar first-hit scan
+/// (and `result + 1` is that scan's dominance-test count on a hit).
+size_t FirstDominator(const double* points, size_t n, size_t d,
+                      const double* p);
+
+/// True iff any of the n points dominates `p`: FirstDominator(...) < n.
 bool DominatedByAny(const double* points, size_t n, size_t d,
                     const double* p);
 
@@ -174,6 +180,8 @@ void DominatesBatch(const double* points, size_t n, size_t d, const double* p,
 void DynamicallyDominatesBatch(const double* points, size_t n, size_t d,
                                const double* p, const double* origin,
                                unsigned char* out);
+size_t FirstDominator(const double* points, size_t n, size_t d,
+                      const double* p);
 bool DominatedByAny(const double* points, size_t n, size_t d,
                     const double* p);
 void BoxOverlapMaskSoa(const SoaPlanes& planes, size_t first, size_t count,
@@ -200,7 +208,7 @@ struct KernelOps {
                           unsigned char*);
   void (*dyn_dominates_batch)(const double*, size_t, size_t, const double*,
                               const double*, unsigned char*);
-  bool (*dominated_by_any)(const double*, size_t, size_t, const double*);
+  size_t (*first_dominator)(const double*, size_t, size_t, const double*);
   void (*box_overlap_mask_soa)(const SoaPlanes&, size_t, size_t,
                                const double*, const double*, unsigned char*);
   void (*mindist_corner_batch_soa)(const SoaPlanes&, size_t, size_t,

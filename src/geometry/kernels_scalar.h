@@ -22,7 +22,7 @@
 
 namespace wnrs::kernel_detail {
 
-/// Block width of the any-dominator scan: wide enough that the inner
+/// Block width of the first-dominator scan: wide enough that the inner
 /// loop vectorizes (8 doubles = one cache line), small enough that a
 /// fruitless tail block costs little. The SIMD path scans two 4-lane
 /// groups per block so its early-exit points line up with the scalar

@@ -18,6 +18,7 @@
 
 #if defined(WNRS_SIMD_KERNELS)
 
+#include <bit>
 #include <cmath>
 
 #include "geometry/kernels_scalar.h"
@@ -94,24 +95,25 @@ void DynamicallyDominatesBatchSimd(const double* points, size_t n, size_t d,
   }
 }
 
-bool DominatedByAnySimd(const double* points, size_t n, size_t d,
-                        const double* p) {
+size_t FirstDominatorSimd(const double* points, size_t n, size_t d,
+                          const double* p) {
   static_assert(kScanBlock % simd::kWidth == 0,
                 "scan blocks must split into whole vector groups");
   size_t i = 0;
-  // Same blocking as the scalar reference: any-hit is checked once per
-  // kScanBlock entries, so both paths inspect identical entry prefixes.
+  // Same blocking as the scalar reference: a hit is checked once per
+  // kScanBlock entries, and the block's mask (lane k of group g at bit
+  // g + k) names the same first dominator.
   for (; i + kScanBlock <= n; i += kScanBlock) {
-    unsigned any = 0;
+    unsigned mask = 0;
     for (size_t g = 0; g < kScanBlock; g += simd::kWidth) {
-      any |= DominatesGroup(points + (i + g) * d, d, p);
+      mask |= DominatesGroup(points + (i + g) * d, d, p) << g;
     }
-    if (any != 0) return true;
+    if (mask != 0) return i + static_cast<size_t>(std::countr_zero(mask));
   }
   for (; i < n; ++i) {
-    if (DominatesOne<0>(points + i * d, p, d) != 0) return true;
+    if (DominatesOne<0>(points + i * d, p, d) != 0) return i;
   }
-  return false;
+  return n;
 }
 
 void BoxOverlapMaskSoaSimd(const SoaPlanes& planes, size_t first,
@@ -217,7 +219,7 @@ const KernelOps* SimdKernelOps() {
     KernelOps o;
     o.dominates_batch = &DominatesBatchSimd;
     o.dyn_dominates_batch = &DynamicallyDominatesBatchSimd;
-    o.dominated_by_any = &DominatedByAnySimd;
+    o.first_dominator = &FirstDominatorSimd;
     o.box_overlap_mask_soa = &BoxOverlapMaskSoaSimd;
     o.mindist_corner_batch_soa = &MinDistCornerBatchSoaSimd;
     o.to_distance_space_batch_soa = &ToDistanceSpaceBatchSoaSimd;

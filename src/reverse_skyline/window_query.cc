@@ -279,12 +279,13 @@ std::vector<PackedRTree::Id> WindowSkyline(
   std::vector<double> tcoords(d * cap);
   std::vector<double> tdist(cap);
   std::vector<double> buf(d);
-  // The blocked kernel has no early exit inside a block, so the packed
-  // path reports scan width (skyline size per test) rather than the
-  // dynamic path's early-exit depth; pruning decisions are identical.
+  // Counts the tests the dynamic path's first-hit scan makes: up to and
+  // including the first dominator, or the whole frontier when none.
   auto dominated = [&](const double* t) {
-    dominance_tests += skyline_ids.size();
-    return DominatedByAny(skyline.data(), skyline_ids.size(), d, t);
+    const size_t n = skyline_ids.size();
+    const size_t first = FirstDominator(skyline.data(), n, d, t);
+    dominance_tests += first < n ? first + 1 : n;
+    return first < n;
   };
   heap.push({0.0, products.root(), 0, -1});
   while (!heap.empty()) {

@@ -454,9 +454,18 @@ struct ShardState {
     return AllShardsWindowEmpty(CustomerPoint(c), q, c);
   }
 
+  /// Λ from the per-shard window queries; F from the merged window
+  /// skylines with origin q, which equal a BNL pass over Λ
+  /// (ExplainWhyNotFromCulprits) without mapping every culprit.
   WhyNotExplanation Explain(size_t c, const Point& q) const {
-    return ExplainWhyNotFromCulprits(
-        products->points, ShardedWindowHits(CustomerPoint(c), q, c), q);
+    const Point& cp = CustomerPoint(c);
+    WhyNotExplanation out;
+    out.culprits = ShardedWindowHits(cp, q, c);
+    out.already_member = out.culprits.empty();
+    if (!out.already_member) {
+      out.frontier = ShardedFrontier(cp, q, /*origin=*/q, c);
+    }
+    return out;
   }
 
   MwpResult ModifyWhyNotBoundary(size_t c, const Point& q) const {

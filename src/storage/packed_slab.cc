@@ -151,6 +151,13 @@ Status DecodeHeader(const void* data, size_t len, SlabHeader* h,
   return Status::Ok();
 }
 
+/// memcpy for one slab section. An empty section's source or target may
+/// be a null data() pointer, and memcpy with a null pointer is undefined
+/// even for zero bytes, so empty sections are skipped.
+void CopySection(void* dst, const void* src, size_t bytes) {
+  if (bytes != 0) std::memcpy(dst, src, bytes);
+}
+
 Status VerifySectionCrcs(const uint8_t* base, const SlabHeader& h,
                          const std::string& path) {
   if (Crc32(base + h.nodes_off, static_cast<size_t>(NodesBytes(h))) !=
@@ -204,11 +211,11 @@ Status PackedSlabIO::Save(const PackedRTree& packed, const std::string& path) {
 
   std::string file = EncodeHeader(h);
   file.resize(static_cast<size_t>(h.file_size), '\0');
-  std::memcpy(file.data() + h.nodes_off, packed.nodes_data(),
+  CopySection(file.data() + h.nodes_off, packed.nodes_data(),
               static_cast<size_t>(NodesBytes(h)));
-  std::memcpy(file.data() + h.planes_off, packed.planes_data(),
+  CopySection(file.data() + h.planes_off, packed.planes_data(),
               static_cast<size_t>(PlanesBytes(h)));
-  std::memcpy(file.data() + h.refs_off, packed.refs_data(),
+  CopySection(file.data() + h.refs_off, packed.refs_data(),
               static_cast<size_t>(RefsBytes(h)));
   return WriteStringToFile(path, file);
 }
@@ -261,11 +268,11 @@ Result<PackedRTree> PackedSlabIO::OpenBuffered(const std::string& path,
   out.planes_vec_.resize(static_cast<size_t>(PlanesBytes(h) /
                                              sizeof(double)));
   out.refs_vec_.resize(static_cast<size_t>(h.num_entries));
-  std::memcpy(out.nodes_vec_.data(), base + h.nodes_off,
+  CopySection(out.nodes_vec_.data(), base + h.nodes_off,
               static_cast<size_t>(NodesBytes(h)));
-  std::memcpy(out.planes_vec_.data(), base + h.planes_off,
+  CopySection(out.planes_vec_.data(), base + h.planes_off,
               static_cast<size_t>(PlanesBytes(h)));
-  std::memcpy(out.refs_vec_.data(), base + h.refs_off,
+  CopySection(out.refs_vec_.data(), base + h.refs_off,
               static_cast<size_t>(RefsBytes(h)));
   out.SetOwnedViews();
   WNRS_RETURN_IF_ERROR(ValidatePacked(out));

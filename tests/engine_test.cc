@@ -302,15 +302,11 @@ TEST(EngineTest, ApproxPathForwardsFastFrontierOption) {
   bool exercised = false;
   for (size_t c = 0; c < data.points.size() && !exercised; ++c) {
     if (fast.IsReverseSkylineMember(c, q)) continue;
-    const uint64_t fast_before = fast.product_tree().stats().node_reads;
     const MwqResult fr = fast.ModifyBothApprox(c, q);
-    const uint64_t fast_reads =
-        fast.product_tree().stats().node_reads - fast_before;
+    const uint64_t fast_reads = fast.last_query_stats().rtree_node_reads;
     if (fr.overlap || fr.already_member) continue;  // C1: no MWP calls.
-    const uint64_t slow_before = slow.product_tree().stats().node_reads;
     const MwqResult sr = slow.ModifyBothApprox(c, q);
-    const uint64_t slow_reads =
-        slow.product_tree().stats().node_reads - slow_before;
+    const uint64_t slow_reads = slow.last_query_stats().rtree_node_reads;
     EXPECT_DOUBLE_EQ(fr.best_cost, sr.best_cost) << "customer " << c;
     // With the option forwarded, the reference path does strictly more
     // node reads than the pruned frontier extraction.

@@ -179,19 +179,26 @@ TEST(KernelFuzzTest, DominatedByAnyAgreesWithFirstHitScan) {
       for (int round = 0; round < kRounds; ++round) {
         const std::vector<double> pts = DrawSpan(rng, n * d);
         const std::vector<double> p = DrawSpan(rng, d);
-        const bool got = DominatedByAny(pts.data(), n, d, p.data());
-        const bool ref = scalar_kernels::DominatedByAny(pts.data(), n, d,
-                                                        p.data());
-        ASSERT_EQ(got, ref) << "d=" << d << " n=" << n;
-        bool expect = false;
+        // Naive first-hit scan over the Point predicate.
+        size_t first = n;
         const Point pp(p);
-        for (size_t i = 0; i < n && !expect; ++i) {
-          expect = Dominates(Point(std::vector<double>(
-                                 pts.begin() + i * d,
-                                 pts.begin() + (i + 1) * d)),
-                             pp);
+        for (size_t i = 0; i < n && first == n; ++i) {
+          if (Dominates(Point(std::vector<double>(pts.begin() + i * d,
+                                                  pts.begin() + (i + 1) * d)),
+                        pp)) {
+            first = i;
+          }
         }
-        ASSERT_EQ(got, expect) << "d=" << d << " n=" << n;
+        ASSERT_EQ(FirstDominator(pts.data(), n, d, p.data()), first)
+            << "d=" << d << " n=" << n;
+        ASSERT_EQ(scalar_kernels::FirstDominator(pts.data(), n, d, p.data()),
+                  first)
+            << "d=" << d << " n=" << n;
+        ASSERT_EQ(DominatedByAny(pts.data(), n, d, p.data()), first < n)
+            << "d=" << d << " n=" << n;
+        ASSERT_EQ(scalar_kernels::DominatedByAny(pts.data(), n, d, p.data()),
+                  first < n)
+            << "d=" << d << " n=" << n;
       }
     }
   }
@@ -214,6 +221,14 @@ TEST(KernelEdgeTest, DominatedByAnyScanBlockTail) {
       EXPECT_TRUE(DominatedByAny(pts.data(), n, d, p.data()))
           << "n=" << n << " hit=" << hit;
       EXPECT_TRUE(scalar_kernels::DominatedByAny(pts.data(), n, d, p.data()));
+      // A second dominator later in the buffer (often in the same block)
+      // must not displace the first.
+      pts[(n - 1) * d + 2] = 0.25;
+      EXPECT_EQ(FirstDominator(pts.data(), n, d, p.data()), hit)
+          << "n=" << n << " hit=" << hit;
+      EXPECT_EQ(scalar_kernels::FirstDominator(pts.data(), n, d, p.data()),
+                hit);
+      pts[(n - 1) * d + 2] = 0.5;
       pts[hit * d + 1] = 0.5;
       EXPECT_FALSE(DominatedByAny(pts.data(), n, d, p.data())) << "n=" << n;
       EXPECT_FALSE(scalar_kernels::DominatedByAny(pts.data(), n, d,
@@ -435,6 +450,8 @@ TEST(KernelEdgeTest, NanAndSignedZeroSemantics) {
   EXPECT_EQ(out[2], 1);
   EXPECT_TRUE(DominatedByAny(pts, 3, 2, p));
   EXPECT_FALSE(DominatedByAny(pts, 2, 2, p));
+  EXPECT_EQ(FirstDominator(pts, 3, 2, p), 2u);
+  EXPECT_EQ(FirstDominator(pts, 2, 2, p), 2u);
 }
 
 // Dynamic dominance around a NaN origin coordinate: every transformed
@@ -456,6 +473,7 @@ TEST(KernelEdgeTest, NanOriginNeverDynamicallyDominates) {
 TEST(KernelEdgeTest, EmptyInputsAreNoOps) {
   const double p[] = {1.0};
   EXPECT_FALSE(DominatedByAny(nullptr, 0, 1, p));
+  EXPECT_EQ(FirstDominator(nullptr, 0, 1, p), 0u);
   unsigned char out[KernelPad(0)];
   std::memset(out, 0xCC, sizeof(out));
   DominatesBatch(nullptr, 0, 1, p, out);

@@ -257,7 +257,7 @@ TEST(NetProtocolTest, ResponseRoundTripEveryPayloadAlternative) {
 
 TEST(NetProtocolTest, NullSafeRegionPointerRoundTrips) {
   WhyNotResponse r;
-  r.payload = std::shared_ptr<const SafeRegionResult>(nullptr);
+  r.payload.emplace<std::shared_ptr<const SafeRegionResult>>();
   ASSERT_EQ(r.payload_tag(), WhyNotResponse::kSafeRegionPayload);
   const WhyNotResponse back = RoundTrip(1, r);
   EXPECT_EQ(back.payload_tag(), WhyNotResponse::kSafeRegionPayload);

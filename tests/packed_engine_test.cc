@@ -44,6 +44,14 @@ void ExpectSameCandidates(const std::vector<Candidate>& a,
   }
 }
 
+void ExpectSameMwq(const MwqResult& a, const MwqResult& b) {
+  EXPECT_EQ(a.already_member, b.already_member);
+  EXPECT_EQ(a.overlap, b.overlap);
+  EXPECT_EQ(a.best_cost, b.best_cost);
+  ExpectSameCandidates(a.query_candidates, b.query_candidates);
+  ExpectSameCandidates(a.why_not_candidates, b.why_not_candidates);
+}
+
 // The packed read path must be invisible in every answer: reverse
 // skylines, membership probes, range queries, and the three modification
 // algorithms agree bit for bit with the dynamic-tree engine.
@@ -68,28 +76,44 @@ TEST(PackedEngineTest, WhyNotAlgorithmsIdentical) {
   const Dataset data = GenerateCarDb(800, 9101);
   WhyNotEngine packed_engine(GenerateCarDb(800, 9101), PackedOptions(true));
   WhyNotEngine plain_engine(GenerateCarDb(800, 9101), PackedOptions(false));
+  packed_engine.PrecomputeApproxDsls(4);
+  plain_engine.PrecomputeApproxDsls(4);
   Rng rng(9102);
   for (const Point& q : FreshQueries(data, 5, 9103)) {
     const size_t c = rng.NextUint64(data.size());
-    const MwpResult mwp_a = packed_engine.ModifyWhyNot(c, q);
-    const MwpResult mwp_b = plain_engine.ModifyWhyNot(c, q);
-    EXPECT_EQ(mwp_a.already_member, mwp_b.already_member);
-    EXPECT_EQ(mwp_a.culprits, mwp_b.culprits);
-    ExpectSameCandidates(mwp_a.candidates, mwp_b.candidates);
+    const WhyNotExplanation why_a = packed_engine.Explain(c, q);
+    const WhyNotExplanation why_b = plain_engine.Explain(c, q);
+    EXPECT_EQ(why_a.already_member, why_b.already_member);
+    EXPECT_EQ(why_a.culprits, why_b.culprits);
+    EXPECT_EQ(why_a.frontier, why_b.frontier);
 
-    const MqpResult mqp_a = packed_engine.ModifyQuery(c, q);
-    const MqpResult mqp_b = plain_engine.ModifyQuery(c, q);
-    EXPECT_EQ(mqp_a.already_member, mqp_b.already_member);
-    EXPECT_EQ(mqp_a.culprits, mqp_b.culprits);
-    ExpectSameCandidates(mqp_a.candidates, mqp_b.candidates);
+    // Copies: the facade's references are only pinned until this
+    // thread's next SafeRegion call.
+    const SafeRegionResult sr_a = packed_engine.SafeRegion(q);
+    const SafeRegionResult sr_b = plain_engine.SafeRegion(q);
+    EXPECT_EQ(sr_a.customers_processed, sr_b.customers_processed);
+    EXPECT_EQ(sr_a.truncated, sr_b.truncated);
+    EXPECT_EQ(sr_a.region.rects(), sr_b.region.rects());
 
-    const MwqResult mwq_a = packed_engine.ModifyBoth(c, q);
-    const MwqResult mwq_b = plain_engine.ModifyBoth(c, q);
-    EXPECT_EQ(mwq_a.already_member, mwq_b.already_member);
-    EXPECT_EQ(mwq_a.overlap, mwq_b.overlap);
-    EXPECT_EQ(mwq_a.best_cost, mwq_b.best_cost);
-    ExpectSameCandidates(mwq_a.query_candidates, mwq_b.query_candidates);
-    ExpectSameCandidates(mwq_a.why_not_candidates, mwq_b.why_not_candidates);
+    for (const Semantics semantics :
+         {Semantics::kBoundary, Semantics::kStrict}) {
+      const MwpResult mwp_a = packed_engine.ModifyWhyNot(c, q, semantics);
+      const MwpResult mwp_b = plain_engine.ModifyWhyNot(c, q, semantics);
+      EXPECT_EQ(mwp_a.already_member, mwp_b.already_member);
+      EXPECT_EQ(mwp_a.culprits, mwp_b.culprits);
+      ExpectSameCandidates(mwp_a.candidates, mwp_b.candidates);
+
+      const MqpResult mqp_a = packed_engine.ModifyQuery(c, q, semantics);
+      const MqpResult mqp_b = plain_engine.ModifyQuery(c, q, semantics);
+      EXPECT_EQ(mqp_a.already_member, mqp_b.already_member);
+      EXPECT_EQ(mqp_a.culprits, mqp_b.culprits);
+      ExpectSameCandidates(mqp_a.candidates, mqp_b.candidates);
+
+      ExpectSameMwq(packed_engine.ModifyBoth(c, q, semantics),
+                    plain_engine.ModifyBoth(c, q, semantics));
+      ExpectSameMwq(packed_engine.ModifyBothApprox(c, q, semantics),
+                    plain_engine.ModifyBothApprox(c, q, semantics));
+    }
 
     const Point q_star({q[0] * 1.1, q[1] * 0.9});
     EXPECT_EQ(packed_engine.LostCustomers(q, q_star),
@@ -113,10 +137,15 @@ TEST(PackedEngineTest, BichromaticAnswersIdentical) {
 // the same traversal, so the shared rtree.node_reads counter moves by the
 // same amount, and every one of those reads is attributed to
 // packed.node_reads on the packed engine (and none on the dynamic one).
+// That holds for every request kind: no kind reads the dynamic tree when
+// the packed image exists.
 TEST(PackedEngineTest, NodeReadParityAndAttribution) {
   const Dataset data = GenerateCarDb(1000, 9301);
   WhyNotEngine packed_engine(GenerateCarDb(1000, 9301), PackedOptions(true));
   WhyNotEngine plain_engine(GenerateCarDb(1000, 9301), PackedOptions(false));
+  packed_engine.PrecomputeApproxDsls(4);
+  plain_engine.PrecomputeApproxDsls(4);
+  Rng rng(9303);
   for (const Point& q : FreshQueries(data, 6, 9302)) {
     packed_engine.ResetStats();
     plain_engine.ResetStats();
@@ -134,6 +163,31 @@ TEST(PackedEngineTest, NodeReadParityAndAttribution) {
               plain_stats.bbrs_dominance_tests);
     EXPECT_EQ(packed_stats.bbrs_pruned_entries,
               plain_stats.bbrs_pruned_entries);
+
+    // The why-not kinds, each checked on its own call's stats (RSL(q) is
+    // memoized by now, so SR and MWQ read only for DSLs and probes).
+    const size_t c = rng.NextUint64(data.size());
+    auto expect_kind_parity = [&](const char* kind, const auto& run) {
+      run(packed_engine);
+      run(plain_engine);
+      const QueryStats a = packed_engine.last_query_stats();
+      const QueryStats b = plain_engine.last_query_stats();
+      EXPECT_EQ(a.rtree_node_reads, b.rtree_node_reads) << kind;
+      EXPECT_GT(a.rtree_node_reads, 0u) << kind;
+      EXPECT_EQ(a.packed_node_reads, a.rtree_node_reads) << kind;
+      EXPECT_EQ(b.packed_node_reads, 0u) << kind;
+      EXPECT_EQ(a.window_probes, b.window_probes) << kind;
+      EXPECT_EQ(a.window_heap_pops, b.window_heap_pops) << kind;
+      EXPECT_EQ(a.window_dominance_tests, b.window_dominance_tests) << kind;
+    };
+    expect_kind_parity("explain", [&](WhyNotEngine& e) { e.Explain(c, q); });
+    expect_kind_parity("mwp",
+                       [&](WhyNotEngine& e) { e.ModifyWhyNot(c, q); });
+    expect_kind_parity("mqp", [&](WhyNotEngine& e) { e.ModifyQuery(c, q); });
+    expect_kind_parity("sr", [&](WhyNotEngine& e) { e.SafeRegion(q); });
+    expect_kind_parity("mwq", [&](WhyNotEngine& e) { e.ModifyBoth(c, q); });
+    expect_kind_parity("mwq_approx",
+                       [&](WhyNotEngine& e) { e.ModifyBothApprox(c, q); });
   }
 }
 

@@ -17,6 +17,7 @@
 #include "core/engine.h"
 #include "data/generators.h"
 #include "index/bulk_load.h"
+#include "reverse_skyline/window_query.h"
 #include "serve/backend.h"
 #include "shard/sharded_backend.h"
 #include "shard/sharded_engine.h"
@@ -218,6 +219,58 @@ TEST_P(ShardParityTest, GridTiesSurviveShardBoundaries) {
     for (const size_t c : {size_t{0}, size_t{14}, size_t{21}, size_t{36},
                            size_t{37}}) {
       ExpectAllKindsAgree(single, shd, c, q);
+    }
+  }
+}
+
+// Explain's frontier comes from a window-skyline traversal (origin q);
+// the reference is index-free: a linear-scan Λ and Algorithm 1's
+// definition of F, the BNL skyline of the q-transformed culprits
+// (ExplainWhyNotFromCulprits). Small integer
+// coordinates and 20% duplicate points put ties on every axis, between
+// culprits and against q, for both engines and both read paths.
+TEST_P(ShardParityTest, ExplainFrontierMatchesBnlReference) {
+  const size_t num_shards = GetParam();
+  for (const size_t dims : {size_t{2}, size_t{3}, size_t{5}}) {
+    Rng rng(4000 + 10 * num_shards + dims);
+    Dataset ds;
+    ds.name = "ties";
+    ds.dims = dims;
+    while (ds.points.size() < 150) {
+      if (!ds.points.empty() && rng.NextBool(0.2)) {
+        ds.points.push_back(ds.points[rng.NextUint64(ds.points.size())]);
+        continue;
+      }
+      Point p(dims);
+      for (size_t i = 0; i < dims; ++i) {
+        p[i] = static_cast<double>(rng.NextUint64(6));
+      }
+      ds.points.push_back(std::move(p));
+    }
+    WhyNotEngineOptions dynamic_options;
+    dynamic_options.use_packed_read_path = false;
+    const WhyNotEngine packed{Dataset(ds)};
+    const WhyNotEngine dynamic{Dataset(ds), dynamic_options};
+    ShardedEngineOptions options;
+    options.num_shards = num_shards;
+    const ShardedEngine shd{Dataset(ds), options};
+
+    for (int trial = 0; trial < 40; ++trial) {
+      Point q(dims);
+      for (size_t i = 0; i < dims; ++i) {
+        q[i] = 0.5 * static_cast<double>(rng.NextUint64(11));
+      }
+      const size_t c = rng.NextUint64(ds.points.size());
+      SCOPED_TRACE(::testing::Message()
+                   << "d=" << dims << " c=" << c << " q=" << q.ToString());
+      const std::vector<size_t> lambda =
+          WindowQueryBrute(ds.points, ds.points[c], q, c);
+      const WhyNotExplanation want = ExplainWhyNotFromCulprits(
+          ds.points, std::vector<RStarTree::Id>(lambda.begin(), lambda.end()),
+          q);
+      ExpectExplanationEq(packed.Explain(c, q), want);
+      ExpectExplanationEq(dynamic.Explain(c, q), want);
+      ExpectExplanationEq(shd.Explain(c, q), want);
     }
   }
 }

@@ -10,17 +10,16 @@
 //                  header/CRC/structural validation), answer.
 //   buffered-open  OpenPackedBuffered (the no-mmap fallback), answer.
 //
-// Engine level (the full bundle: datasets + paged trees + slab):
+// Engine level (the full bundle: data.bin + packed slab):
 //   engine-rebuild      parse products.csv, construct WhyNotEngine,
 //                       answer. Materializing the dynamic R*-tree for
 //                       the mutation path bounds this from below; the
 //                       bundle saves the parse + bulk-load + freeze.
-//   engine-save         publish the bundle (page writes show up in the
-//                       storage_page_writes counter).
-//   engine-mmap-open    WhyNotEngine::Open with the slab mmapped; tree
-//                       pages stream through the BufferPool, so the
-//                       storage_page_reads / storage_cache_* counters
-//                       land in this record.
+//   engine-save         publish the bundle (data.bin plus the slab).
+//   engine-mmap-open    WhyNotEngine::Open with the slab mmapped: the
+//                       slab is checked against data.bin and the
+//                       dynamic tree is thawed from it, so no page I/O
+//                       happens and the storage_* counters stay 0.
 //   engine-buffered-open  the same with mmap disabled.
 //
 // The CI perf gate holds the headline claim — mmap-open under a tenth
@@ -164,8 +163,7 @@ int Run(int argc, char** argv) {
   std::remove(csv_path.c_str());
   std::remove(slab_path.c_str());
   for (const char* f :
-       {storage::kBundleDataFile, storage::kBundleTreeFile,
-        storage::kBundleCustomerTreeFile, storage::kBundlePackedFile,
+       {storage::kBundleDataFile, storage::kBundlePackedFile,
         storage::kBundlePackedCustomerFile}) {
     std::remove((dir + "/" + f).c_str());
   }

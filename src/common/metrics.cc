@@ -305,10 +305,6 @@ QueryStats MetricsRegistry::CaptureQueryStats() const {
   s.serve_admission_rejects = value(CounterId::kServeAdmissionRejects);
   s.serve_deadline_misses = value(CounterId::kServeDeadlineMisses);
   s.serve_batch_share_hits = value(CounterId::kServeBatchShareHits);
-  s.storage_page_reads = value(CounterId::kStoragePageReads);
-  s.storage_page_writes = value(CounterId::kStoragePageWrites);
-  s.storage_cache_hits = value(CounterId::kStorageCacheHits);
-  s.storage_cache_misses = value(CounterId::kStorageCacheMisses);
   return s;
 }
 
@@ -355,10 +351,6 @@ const char* MetricsRegistry::Name(CounterId id) {
     case CounterId::kServeAdmissionRejects: return "serve.admission_rejects";
     case CounterId::kServeDeadlineMisses: return "serve.deadline_misses";
     case CounterId::kServeBatchShareHits: return "serve.batch_share_hits";
-    case CounterId::kStoragePageReads: return "storage.page_reads";
-    case CounterId::kStoragePageWrites: return "storage.page_writes";
-    case CounterId::kStorageCacheHits: return "storage.cache_hits";
-    case CounterId::kStorageCacheMisses: return "storage.cache_misses";
     case CounterId::kCounterIdCount: break;
   }
   return "unknown";
@@ -471,10 +463,6 @@ QueryStats QueryStats::operator-(const QueryStats& other) const {
       serve_deadline_misses - other.serve_deadline_misses;
   d.serve_batch_share_hits =
       serve_batch_share_hits - other.serve_batch_share_hits;
-  d.storage_page_reads = storage_page_reads - other.storage_page_reads;
-  d.storage_page_writes = storage_page_writes - other.storage_page_writes;
-  d.storage_cache_hits = storage_cache_hits - other.storage_cache_hits;
-  d.storage_cache_misses = storage_cache_misses - other.storage_cache_misses;
   return d;
 }
 
@@ -507,10 +495,6 @@ QueryStats& QueryStats::operator+=(const QueryStats& other) {
   serve_admission_rejects += other.serve_admission_rejects;
   serve_deadline_misses += other.serve_deadline_misses;
   serve_batch_share_hits += other.serve_batch_share_hits;
-  storage_page_reads += other.storage_page_reads;
-  storage_page_writes += other.storage_page_writes;
-  storage_cache_hits += other.storage_cache_hits;
-  storage_cache_misses += other.storage_cache_misses;
   return *this;
 }
 

@@ -51,11 +51,6 @@ enum class CounterId : uint32_t {
   kServeAdmissionRejects,///< Requests rejected by queue-depth admission.
   kServeDeadlineMisses,  ///< Requests whose deadline expired (pre- or mid-run).
   kServeBatchShareHits,  ///< Requests answered by sharing a same-q batch.
-  // Storage backend (src/storage): page-level I/O and the buffer pool.
-  kStoragePageReads,     ///< Pages fetched from a backing store (real I/O).
-  kStoragePageWrites,    ///< Pages written to a backing store.
-  kStorageCacheHits,     ///< Buffer-pool reads served from a resident frame.
-  kStorageCacheMisses,   ///< Buffer-pool reads that went to the store.
   kCounterIdCount,       // Keep last.
 };
 
@@ -139,6 +134,11 @@ struct QueryStats {
   uint64_t serve_admission_rejects = 0;
   uint64_t serve_deadline_misses = 0;
   uint64_t serve_batch_share_hits = 0;
+  /// Page-file I/O and buffer-pool counters of the retired paged tree
+  /// store. Bundles now hold only packed slabs, so these always read 0;
+  /// they stay so bench records keep their keys (a zero baseline fails
+  /// the bench gate if page I/O ever returns) and so existing readers
+  /// of the cache-hit ratio still build (they see 0/0).
   uint64_t storage_page_reads = 0;
   uint64_t storage_page_writes = 0;
   uint64_t storage_cache_hits = 0;

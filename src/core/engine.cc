@@ -24,7 +24,6 @@
 #include "storage/engine_store.h"
 #include "storage/file_io.h"
 #include "storage/packed_slab.h"
-#include "storage/tree_store.h"
 
 namespace wnrs {
 namespace {
@@ -988,8 +987,9 @@ WhyNotEngine::WhyNotEngine(RestoreBadge, std::shared_ptr<ThreadPool> pool,
 
 // ---------------------------------------------------------------------------
 // Persistence: the engine bundle (DESIGN.md §13). data.bin holds the
-// datasets/tombstones/universe; the dynamic trees become page files; the
-// packed slab keeps its mmap-able image alongside.
+// datasets, tombstones, universe and R* knobs; each R*-tree is stored
+// once, as its mmap-able packed slab, and Open thaws the mutation tree
+// from that slab.
 // ---------------------------------------------------------------------------
 
 Status WhyNotEngine::Save(const std::string& dir) const {
@@ -1006,52 +1006,57 @@ Status WhyNotEngine::Save(const std::string& dir) const {
   }
   data.removed = cur->removed;
   data.universe = cur->universe;
-  data.has_packed = cur->packed_tree != nullptr;
-  data.has_packed_customers = cur->packed_customer_tree != nullptr;
+  data.rtree = cur->tree->options();
   WNRS_RETURN_IF_ERROR(
       storage::SaveBundleData(data, base + storage::kBundleDataFile));
 
-  WNRS_RETURN_IF_ERROR(
-      storage::SavePagedTree(*cur->tree, base + storage::kBundleTreeFile));
+  // An all-dynamic engine (use_packed_read_path off) holds no slab, so
+  // it freezes one for the bundle.
+  auto save_slab = [&base](const PackedRTree* packed, const RStarTree& tree,
+                           const char* file) {
+    if (packed != nullptr) return storage::SavePacked(*packed, base + file);
+    return storage::SavePacked(PackedRTree::Freeze(tree), base + file);
+  };
+  WNRS_RETURN_IF_ERROR(save_slab(cur->packed_tree.get(), *cur->tree,
+                                 storage::kBundlePackedFile));
   if (cur->customer_tree != nullptr) {
-    WNRS_RETURN_IF_ERROR(storage::SavePagedTree(
-        *cur->customer_tree, base + storage::kBundleCustomerTreeFile));
-  }
-  if (cur->packed_tree != nullptr) {
-    WNRS_RETURN_IF_ERROR(storage::SavePacked(
-        *cur->packed_tree, base + storage::kBundlePackedFile));
-  }
-  if (cur->packed_customer_tree != nullptr) {
-    WNRS_RETURN_IF_ERROR(storage::SavePacked(
-        *cur->packed_customer_tree,
-        base + storage::kBundlePackedCustomerFile));
+    WNRS_RETURN_IF_ERROR(save_slab(cur->packed_customer_tree.get(),
+                                   *cur->customer_tree,
+                                   storage::kBundlePackedCustomerFile));
   }
   return Status::Ok();
 }
 
 namespace {
 
-/// Opens the packed slab for one tree, or re-freezes it from the loaded
-/// dynamic tree when the bundle has none, and proves slab/tree parity
-/// either way — a slab from a different tree state must never serve.
-Result<std::shared_ptr<const PackedRTree>> RestorePacked(
-    const std::string& slab_path, bool slab_on_disk, const RStarTree& tree,
-    const EngineStorageOptions& storage_options) {
-  if (!slab_on_disk) {
-    return std::shared_ptr<const PackedRTree>(
-        std::make_shared<const PackedRTree>(PackedRTree::Freeze(tree)));
-  }
-  Result<PackedRTree> packed =
+/// Opens one slab of a bundle, checks it against the points it indexes
+/// (a slab from another tree state must never serve), and thaws the
+/// mutation tree from it. The slab is kept for the read path only when
+/// options.use_packed_read_path is set.
+Status RestoreIndex(const std::string& slab_path,
+                    const std::vector<Point>& points,
+                    const std::vector<bool>& removed,
+                    const RTreeOptions& rtree,
+                    const WhyNotEngineOptions& options,
+                    std::shared_ptr<const RStarTree>* tree,
+                    std::shared_ptr<const PackedRTree>* packed) {
+  const EngineStorageOptions& storage_options = options.storage;
+  Result<PackedRTree> slab =
       storage_options.mmap_packed
           ? storage::OpenPackedMapped(slab_path,
                                       storage_options.verify_checksums)
           : storage::OpenPackedBuffered(slab_path,
                                         storage_options.verify_checksums);
-  WNRS_RETURN_IF_ERROR(packed.status());
+  WNRS_RETURN_IF_ERROR(slab.status());
   WNRS_RETURN_IF_ERROR(
-      ValidatePackedMatchesDynamic(packed.value(), tree));
-  return std::shared_ptr<const PackedRTree>(
-      std::make_shared<const PackedRTree>(std::move(packed).value()));
+      ValidatePackedMatchesPoints(slab.value(), points, removed));
+  Result<RStarTree> thawed = slab.value().Thaw(rtree);
+  WNRS_RETURN_IF_ERROR(thawed.status());
+  *tree = std::make_shared<const RStarTree>(std::move(thawed).value());
+  if (options.use_packed_read_path) {
+    *packed = std::make_shared<const PackedRTree>(std::move(slab).value());
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -1099,48 +1104,14 @@ Result<std::unique_ptr<WhyNotEngine>> WhyNotEngine::Open(
         "[dimension] bundle universe dimensionality mismatch: " + dir);
   }
 
-  Result<RStarTree> tree_r = storage::LoadPagedTree(
-      base + storage::kBundleTreeFile, options.storage.buffer_pool_pages);
-  WNRS_RETURN_IF_ERROR(tree_r.status());
-  if (tree_r.value().dims() != dims || tree_r.value().size() != live) {
-    return Status::InvalidArgument(
-        StrFormat("[tree-shape] bundle product tree holds %zu entries of "
-                  "%zu dims; bundle data declares %zu live products of %zu "
-                  "dims",
-                  tree_r.value().size(), tree_r.value().dims(), live, dims));
-  }
-  parts.tree =
-      std::make_shared<const RStarTree>(std::move(tree_r).value());
-
+  WNRS_RETURN_IF_ERROR(RestoreIndex(
+      base + storage::kBundlePackedFile, parts.products->points,
+      parts.removed, data.rtree, options, &parts.tree, &parts.packed_tree));
   if (parts.customers != nullptr) {
-    Result<RStarTree> ctree_r =
-        storage::LoadPagedTree(base + storage::kBundleCustomerTreeFile,
-                               options.storage.buffer_pool_pages);
-    WNRS_RETURN_IF_ERROR(ctree_r.status());
-    if (ctree_r.value().dims() != dims ||
-        ctree_r.value().size() != parts.customers->points.size()) {
-      return Status::InvalidArgument(
-          "[tree-shape] bundle customer tree inconsistent with the "
-          "customer dataset: " +
-          dir);
-    }
-    parts.customer_tree =
-        std::make_shared<const RStarTree>(std::move(ctree_r).value());
-  }
-
-  if (options.use_packed_read_path) {
-    Result<std::shared_ptr<const PackedRTree>> packed =
-        RestorePacked(base + storage::kBundlePackedFile, data.has_packed,
-                      *parts.tree, options.storage);
-    WNRS_RETURN_IF_ERROR(packed.status());
-    parts.packed_tree = std::move(packed).value();
-    if (parts.customer_tree != nullptr) {
-      Result<std::shared_ptr<const PackedRTree>> packed_c = RestorePacked(
-          base + storage::kBundlePackedCustomerFile,
-          data.has_packed_customers, *parts.customer_tree, options.storage);
-      WNRS_RETURN_IF_ERROR(packed_c.status());
-      parts.packed_customer_tree = std::move(packed_c).value();
-    }
+    WNRS_RETURN_IF_ERROR(RestoreIndex(
+        base + storage::kBundlePackedCustomerFile, parts.customers->points,
+        {}, data.rtree, options, &parts.customer_tree,
+        &parts.packed_customer_tree));
   }
 
   auto pool = std::make_shared<ThreadPool>(options.num_threads);

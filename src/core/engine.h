@@ -22,12 +22,9 @@
 
 namespace wnrs {
 
-/// How WhyNotEngine::Open reads a saved bundle (see DESIGN.md §13).
+/// How WhyNotEngine::Open reads a saved bundle's packed slabs (see
+/// DESIGN.md §13).
 struct EngineStorageOptions {
-  /// Buffer-pool frames in front of the page files holding the dynamic
-  /// R*-trees; hits and misses surface as storage.cache_hits /
-  /// storage.cache_misses.
-  size_t buffer_pool_pages = 256;
   /// mmap the packed slab (zero-copy cold start) instead of reading it
   /// into owned memory. Query-identical either way.
   bool mmap_packed = true;
@@ -269,24 +266,25 @@ class WhyNotEngine {
   explicit WhyNotEngine(Dataset data, WhyNotEngineOptions options = {});
 
   /// Persists the full engine state to directory `dir` (created if
-  /// missing): datasets, tombstones, and universe as a CRC'd binary blob;
-  /// the dynamic R*-trees as page files (one node per CRC'd page); and,
-  /// when the packed read path is active, the frozen slab in its
-  /// mmap-able on-disk form. An engine reopened from the bundle answers
-  /// every query bit-identically to this one. The approximated-DSL store
-  /// is not part of the bundle — persist it with SaveApproxDsls alongside
-  /// and reload it after Open.
+  /// missing): datasets, tombstones, universe and R* knobs as a CRC'd
+  /// binary blob (data.bin), and each R*-tree once, as its mmap-able
+  /// packed slab — frozen here first when the packed read path is off.
+  /// An engine reopened from the bundle answers every query
+  /// bit-identically to this one. The approximated-DSL store is not part
+  /// of the bundle — persist it with SaveApproxDsls alongside and reload
+  /// it after Open.
   [[nodiscard]] Status Save(const std::string& dir) const;
 
   /// Reconstructs an engine from a Save directory. `options` plays the
   /// same role as in the constructors (and its `storage` member selects
-  /// buffer-pool size and mmap-vs-buffered slab open); pass the options
-  /// the original engine was built with to reproduce its answers
-  /// bit-for-bit. The index structure itself comes from the bundle, not
-  /// from a re-bulk-load — node layout, fan-out, and traversal order are
-  /// the saved ones. If the bundle has no packed slab but
-  /// options.use_packed_read_path is set, the slab is re-frozen from the
-  /// loaded dynamic tree.
+  /// mmap-vs-buffered slab open); pass the options the original engine
+  /// was built with to reproduce its answers bit-for-bit. Each slab is
+  /// checked against data.bin (one leaf entry per live point, with that
+  /// point's exact MBR) and the dynamic mutation tree is thawed from it
+  /// (PackedRTree::Thaw) under the saved R* knobs, so node layout,
+  /// fan-out, traversal order and later mutations are the saved ones.
+  /// With options.use_packed_read_path off the slab is dropped after the
+  /// thaw. A version-1 bundle is refused with [version].
   [[nodiscard]] static Result<std::unique_ptr<WhyNotEngine>> Open(
       const std::string& dir, WhyNotEngineOptions options = {});
 

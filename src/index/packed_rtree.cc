@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/logging.h"
@@ -118,6 +119,54 @@ PackedRTree PackedRTree::Freeze(const RStarTree& tree) {
   MetricAdd(CounterId::kPackedFreezes);
   MetricAdd(CounterId::kPackedFreezeNanos, static_cast<uint64_t>(ns));
   return out;
+}
+
+Result<RStarTree> PackedRTree::Thaw(const RTreeOptions& options) const {
+  WNRS_RETURN_IF_ERROR(RStarTree::ValidateOptions(options));
+  RStarTree tree(dims_, options);
+  // made[i] is the dynamic twin of arena node i once an entry has
+  // claimed it. Every node built so far is linked into `tree`, so an
+  // early return frees it with the tree, and a node claimed twice is
+  // refused rather than aliased.
+  std::vector<RStarTree::Node*> made(num_nodes_, nullptr);
+  made[root()] = tree.root_;
+  std::vector<uint32_t> stack = {root()};
+  while (!stack.empty()) {
+    const uint32_t ni = stack.back();
+    stack.pop_back();
+    const Node& n = nodes_[ni];
+    RStarTree::Node* dst = made[ni];
+    dst->is_leaf = n.is_leaf != 0;
+    dst->entries.reserve(n.entry_count);
+    for (uint32_t e = n.first_entry; e < n.first_entry + n.entry_count; ++e) {
+      RStarTree::Entry entry;
+      entry.mbr = EntryRect(e);
+      if (dst->is_leaf) {
+        entry.id = refs_[e];
+      } else {
+        const int64_t ref = refs_[e];
+        if (ref < 0 || static_cast<uint64_t>(ref) >= num_nodes_ ||
+            made[static_cast<size_t>(ref)] != nullptr) {
+          return Status::InvalidArgument(StrFormat(
+              "[tree-shape] entry %u does not link an unclaimed node", e));
+        }
+        auto child = std::make_unique<RStarTree::Node>();
+        child->parent = dst;
+        made[static_cast<size_t>(ref)] = child.get();
+        entry.child = child.release();
+        stack.push_back(static_cast<uint32_t>(ref));
+      }
+      dst->entries.push_back(std::move(entry));
+    }
+  }
+  tree.size_ = size_;
+  tree.height_ = height_;
+  const Status shape = tree.CheckInvariants();
+  if (!shape.ok()) {
+    return Status::InvalidArgument("[tree-shape] thawed tree: " +
+                                   shape.message());
+  }
+  return tree;
 }
 
 Rectangle PackedRTree::EntryRect(uint32_t e) const {

@@ -86,6 +86,16 @@ class PackedRTree {
   /// mutation path's publish overhead stays observable.
   [[nodiscard]] static PackedRTree Freeze(const RStarTree& tree);
 
+  /// Inverse of Freeze: rebuilds the dynamic tree this image was frozen
+  /// from, for the mutation path of an engine opened from a bundle. Arena
+  /// node i becomes one RStarTree::Node with its entries in slab order
+  /// and parent links set, so Freeze(Thaw(p)) reproduces p byte for byte
+  /// and later mutations match those of the source tree. `options` must
+  /// be the knobs that tree was built with. A shape they cannot hold (an
+  /// over-full or empty node, a stale MBR, a bad child link) returns
+  /// [tree-shape]; nothing aborts.
+  [[nodiscard]] Result<RStarTree> Thaw(const RTreeOptions& options) const;
+
   PackedRTree(PackedRTree&& other) noexcept { *this = std::move(other); }
   PackedRTree& operator=(PackedRTree&& other) noexcept;
   PackedRTree(const PackedRTree&) = delete;

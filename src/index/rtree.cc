@@ -611,8 +611,8 @@ Status CheckNode(const RStarTree::Node* node, const RStarTree::Node* parent,
     return Status::Ok();
   }
   for (const RStarTree::Entry& e : node->entries) {
-    if (e.child == nullptr) {
-      return Status::Internal("internal entry without child");
+    if (e.child == nullptr || e.child->entries.empty()) {
+      return Status::Internal("internal entry without a non-empty child");
     }
     const Rectangle child_mbr = [&] {
       Rectangle mbr = e.child->entries.front().mbr;
@@ -631,6 +631,22 @@ Status CheckNode(const RStarTree::Node* node, const RStarTree::Node* parent,
 }
 
 }  // namespace
+
+Status RStarTree::ValidateOptions(const RTreeOptions& options) {
+  // min_fill_ratio <= 0.5 keeps the constructor's 2m <= M + 1 check
+  // true at every fan-out ComputeMaxEntries can return.
+  if (!(options.min_fill_ratio > 0.0) || !(options.min_fill_ratio <= 0.5) ||
+      !(options.reinsert_fraction >= 0.0) ||
+      !(options.reinsert_fraction < 1.0) || options.page_size_bytes == 0 ||
+      options.page_size_bytes > (size_t{1} << 30)) {
+    return Status::InvalidArgument(StrFormat(
+        "[tree-shape] implausible R*-tree knobs: page %zu B, min fill %g, "
+        "reinsert %g",
+        options.page_size_bytes, options.min_fill_ratio,
+        options.reinsert_fraction));
+  }
+  return Status::Ok();
+}
 
 Status RStarTree::CheckInvariants() const {
   if (root_ == nullptr) return Status::Internal("null root");

@@ -79,6 +79,7 @@ class RStarTree {
   [[nodiscard]] RStarTree Clone() const;
 
   size_t dims() const { return dims_; }
+  const RTreeOptions& options() const { return options_; }
   size_t size() const { return size_; }
   /// Number of levels; 1 for a tree holding only a root leaf.
   size_t height() const { return height_; }
@@ -142,10 +143,15 @@ class RStarTree {
   /// fill-factor bounds, uniform leaf depth, and entry count.
   Status CheckInvariants() const;
 
+  /// Status form of the constructor's option preconditions, for knobs
+  /// read from untrusted bytes (an engine bundle): [tree-shape] unless
+  /// 0 < min_fill_ratio <= 0.5, 0 <= reinsert_fraction < 1 and
+  /// 0 < page_size_bytes <= 1 GiB.
+  [[nodiscard]] static Status ValidateOptions(const RTreeOptions& options);
+
  private:
   friend class RTreeBulkLoader;
-  friend class RTreeSerializer;
-  friend class RTreePageStore;
+  friend class PackedRTree;
 
   Node* ChooseSubtree(const Rectangle& r, size_t target_level) const;
   void InsertAtLevel(Entry entry, size_t target_level, bool is_data_level,

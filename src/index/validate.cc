@@ -249,4 +249,54 @@ Status ValidatePackedMatchesDynamic(const PackedRTree& packed,
   return Status::Ok();
 }
 
+Status ValidatePackedMatchesPoints(const PackedRTree& packed,
+                                   const std::vector<Point>& points,
+                                   const std::vector<bool>& removed) {
+  size_t live = points.size();
+  for (bool r : removed) {
+    if (r) --live;
+  }
+  const size_t dims = points.empty() ? packed.dims() : points.front().dims();
+  if (packed.dims() != dims || packed.size() != live) {
+    return Status::Internal(StrFormat(
+        "[tree-shape] packed tree holds %zu entries of %zu dims; the data "
+        "has %zu live points of %zu dims",
+        packed.size(), packed.dims(), live, dims));
+  }
+  std::vector<bool> seen(points.size(), false);
+  for (uint32_t ni = 0; ni < packed.num_nodes(); ++ni) {
+    const PackedRTree::Node& n = packed.node(ni);
+    if (n.is_leaf == 0) continue;
+    for (uint32_t e = n.first_entry; e < n.first_entry + n.entry_count; ++e) {
+      const PackedRTree::Id id = packed.entry_id(e);
+      if (id < 0 || static_cast<uint64_t>(id) >= points.size()) {
+        return Status::Internal(StrFormat(
+            "[packed-parity] leaf entry %u holds id %lld outside the %zu "
+            "points",
+            e, static_cast<long long>(id), points.size()));
+      }
+      const size_t i = static_cast<size_t>(id);
+      if (i < removed.size() && removed[i]) {
+        return Status::Internal(StrFormat(
+            "[packed-parity] leaf entry %u indexes tombstoned id %zu", e, i));
+      }
+      if (seen[i]) {
+        return Status::Internal(StrFormat(
+            "[packed-parity] id %zu is indexed more than once", i));
+      }
+      seen[i] = true;
+      for (size_t j = 0; j < dims; ++j) {
+        if (packed.entry_lo(e, j) != points[i][j] ||
+            packed.entry_hi(e, j) != points[i][j]) {
+          return Status::Internal(StrFormat(
+              "[packed-parity] leaf entry %u MBR differs from point %zu in "
+              "dimension %zu",
+              e, i, j));
+        }
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace wnrs

@@ -1,7 +1,10 @@
 #ifndef WNRS_INDEX_VALIDATE_H_
 #define WNRS_INDEX_VALIDATE_H_
 
+#include <vector>
+
 #include "common/status.h"
+#include "geometry/point.h"
 #include "index/packed_rtree.h"
 #include "index/rtree.h"
 
@@ -39,6 +42,17 @@ Status ValidatePacked(const PackedRTree& packed);
 /// state (a "mismatched slab") must be rejected.
 Status ValidatePackedMatchesDynamic(const PackedRTree& packed,
                                     const RStarTree& tree);
+
+/// Agreement of a packed image with the points it indexes, the check an
+/// engine bundle's slab passes before the mutation tree is thawed from
+/// it: the dimensionality matches and there is one data entry per live
+/// point ([tree-shape]); every leaf id is in range, not tombstoned in
+/// `removed` (ids past its end are live), indexed once, and carries an
+/// MBR exactly equal to its point ([packed-parity]). Linear in entries
+/// plus points.
+Status ValidatePackedMatchesPoints(const PackedRTree& packed,
+                                   const std::vector<Point>& points,
+                                   const std::vector<bool>& removed);
 
 }  // namespace wnrs
 

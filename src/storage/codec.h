@@ -15,6 +15,11 @@ namespace storage {
 /// open ([endianness]) instead of decoding transposed — the same policy
 /// that lets the packed slab's coordinate planes map back zero-copy.
 
+/// Little-endian marker stamped into every binary header. A file written
+/// on a big-endian host would read back as 0xD4C3B2A1 and be rejected
+/// with [endianness] instead of silently transposing every coordinate.
+inline constexpr uint32_t kEndianMarker = 0xA1B2C3D4u;
+
 inline void AppendRaw(std::string* out, const void* data, size_t len) {
   out->append(static_cast<const char*>(data), len);
 }

@@ -10,21 +10,19 @@
 #include "storage/codec.h"
 #include "storage/crc32.h"
 #include "storage/file_io.h"
-#include "storage/storage_manager.h"
 
 namespace wnrs {
 namespace storage {
 namespace {
 
 constexpr uint32_t kBundleMagic = 0x42454E57u;  // "WNEB" little-endian.
-constexpr uint32_t kBundleVersion = 1;
+/// Version 2 carries the R* knobs and always pairs with packed slabs;
+/// version 1 bundles also held WNTR page files and are refused.
+constexpr uint32_t kBundleVersion = 2;
 
 constexpr uint32_t kFlagShared = 1u << 0;
 constexpr uint32_t kFlagHasCustomers = 1u << 1;
-constexpr uint32_t kFlagHasPacked = 1u << 2;
-constexpr uint32_t kFlagHasPackedCustomers = 1u << 3;
-constexpr uint32_t kAllFlags = kFlagShared | kFlagHasCustomers |
-                               kFlagHasPacked | kFlagHasPackedCustomers;
+constexpr uint32_t kAllFlags = kFlagShared | kFlagHasCustomers;
 
 constexpr uint64_t kMaxReasonableDims = 64;
 constexpr uint64_t kMaxReasonableCount = uint64_t{1} << 40;
@@ -95,8 +93,6 @@ Status SaveBundleData(const EngineBundleData& data, const std::string& path) {
   uint32_t flags = 0;
   if (data.shared_relation) flags |= kFlagShared;
   if (data.has_customers) flags |= kFlagHasCustomers;
-  if (data.has_packed) flags |= kFlagHasPacked;
-  if (data.has_packed_customers) flags |= kFlagHasPackedCustomers;
 
   std::string out;
   AppendPod<uint32_t>(&out, kBundleMagic);
@@ -104,6 +100,10 @@ Status SaveBundleData(const EngineBundleData& data, const std::string& path) {
   AppendPod<uint32_t>(&out, kEndianMarker);
   AppendPod<uint32_t>(&out, flags);
   AppendPod<uint64_t>(&out, static_cast<uint64_t>(dims));
+  AppendPod<uint64_t>(&out,
+                      static_cast<uint64_t>(data.rtree.page_size_bytes));
+  AppendPod<double>(&out, data.rtree.min_fill_ratio);
+  AppendPod<double>(&out, data.rtree.reinsert_fraction);
   for (size_t i = 0; i < dims; ++i) {
     AppendPod<double>(&out, data.universe.lo()[i]);
   }
@@ -174,8 +174,17 @@ Result<EngineBundleData> LoadBundleData(const std::string& path) {
   EngineBundleData data;
   data.shared_relation = (flags & kFlagShared) != 0;
   data.has_customers = (flags & kFlagHasCustomers) != 0;
-  data.has_packed = (flags & kFlagHasPacked) != 0;
-  data.has_packed_customers = (flags & kFlagHasPackedCustomers) != 0;
+
+  uint64_t page_size_bytes = 0;
+  if (!r.ReadPod(&page_size_bytes) ||
+      !r.ReadPod(&data.rtree.min_fill_ratio) ||
+      !r.ReadPod(&data.rtree.reinsert_fraction)) {
+    return Status::InvalidArgument("[truncated] bundle R* knobs: " + path);
+  }
+  // Checked before the knobs reach the RStarTree constructor, whose
+  // WNRS_CHECKs abort instead of returning a clean status.
+  data.rtree.page_size_bytes = static_cast<size_t>(page_size_bytes);
+  WNRS_RETURN_IF_ERROR(RStarTree::ValidateOptions(data.rtree));
 
   if (2 * dims * sizeof(double) > r.remaining()) {
     return Status::InvalidArgument("[truncated] bundle universe: " + path);

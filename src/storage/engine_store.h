@@ -7,24 +7,26 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "geometry/rectangle.h"
+#include "index/rtree.h"
 
 namespace wnrs {
 namespace storage {
 
 /// File names inside an engine bundle directory (WhyNotEngine::Save /
-/// WhyNotEngine::Open). A bundle is a directory, not a single file, so
-/// the large components keep their own formats: the page-granular tree
-/// files reopen through the buffer pool, and the packed slab mmaps.
+/// WhyNotEngine::Open). A bundle is a directory of two formats: data.bin
+/// (this file's WNEB blob) and one WNSL packed slab per R*-tree
+/// (storage/packed_slab.h). The slab is the only stored index: Open maps
+/// it for the read path and thaws the dynamic mutation tree from it
+/// (PackedRTree::Thaw), so the tree is never stored twice.
 inline constexpr char kBundleDataFile[] = "data.bin";
-inline constexpr char kBundleTreeFile[] = "tree.pages";
-inline constexpr char kBundleCustomerTreeFile[] = "customers.pages";
 inline constexpr char kBundlePackedFile[] = "packed.slab";
 inline constexpr char kBundlePackedCustomerFile[] = "packed_customers.slab";
 
 /// Everything in an engine core that is not an index: the datasets, the
 /// tombstone bitmap, the universe rectangle (mutable post-construction —
 /// AddProduct can widen it, so it cannot be recomputed from the points),
-/// and which optional bundle files to expect.
+/// and the R* knobs the trees were built with, so a thawed tree splits
+/// and reinserts exactly like the saved one.
 struct EngineBundleData {
   bool shared_relation = false;
   Dataset products;
@@ -33,19 +35,18 @@ struct EngineBundleData {
   bool has_customers = false;
   std::vector<bool> removed;
   Rectangle universe;
-  /// Packed slab files written alongside data.bin.
-  bool has_packed = false;
-  bool has_packed_customers = false;
+  RTreeOptions rtree;
 };
 
-/// Writes `data` to `path` as a versioned binary blob (magic,
+/// Writes `data` to `path` as a versioned binary blob (magic, version 2,
 /// endianness marker, whole-payload CRC-32).
 [[nodiscard]] Status SaveBundleData(const EngineBundleData& data,
                                     const std::string& path);
 
 /// Reads a SaveBundleData file. Corruption (truncation, bad CRC, wrong
-/// magic/version/endianness, implausible geometry, trailing bytes) comes
-/// back as a Status naming the violated invariant in [brackets].
+/// magic/version/endianness, implausible geometry or R* knobs, trailing
+/// bytes) comes back as a Status naming the violated invariant in
+/// [brackets]; a version-1 file is refused with [version].
 [[nodiscard]] Result<EngineBundleData> LoadBundleData(
     const std::string& path);
 

@@ -12,7 +12,6 @@
 #include "storage/codec.h"
 #include "storage/crc32.h"
 #include "storage/file_io.h"
-#include "storage/storage_manager.h"
 
 namespace wnrs {
 namespace storage {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "data/generators.h"
 #include "geometry/point.h"
 #include "geometry/rectangle.h"
+#include "index/bulk_load.h"
 #include "index/rtree.h"
 #include "reverse_skyline/bbrs.h"
 #include "reverse_skyline/window_query.h"
@@ -383,6 +385,146 @@ TEST(PackedRTreeTest, FreezeRecordsMetrics) {
   // Packed node reads feed both the shared rtree counter and their own.
   EXPECT_EQ(q1.packed_node_reads, packed.stats().node_reads);
   EXPECT_EQ(q1.rtree_node_reads, packed.stats().node_reads);
+}
+
+// ---------------------------------------------------------------------------
+// Thaw: the inverse of Freeze.
+
+/// Byte-level equality of two packed images: shape scalars, then the
+/// node arena, the coordinate planes (NaN padding included) and the refs
+/// slab compared as raw bytes.
+void ExpectSlabBytesIdentical(const PackedRTree& a, const PackedRTree& b) {
+  ASSERT_EQ(a.dims(), b.dims());
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.height(), b.height());
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.num_entries(), b.num_entries());
+  ASSERT_EQ(a.max_node_entries(), b.max_node_entries());
+  ASSERT_EQ(a.plane_stride(), b.plane_stride());
+  EXPECT_EQ(std::memcmp(a.nodes_data(), b.nodes_data(),
+                        a.num_nodes() * sizeof(PackedRTree::Node)),
+            0)
+      << "node arena";
+  EXPECT_EQ(std::memcmp(a.planes_data(), b.planes_data(),
+                        2 * a.dims() * a.plane_stride() * sizeof(double)),
+            0)
+      << "coordinate planes";
+  if (a.num_entries() != 0) {
+    EXPECT_EQ(std::memcmp(a.refs_data(), b.refs_data(),
+                          a.num_entries() * sizeof(int64_t)),
+              0)
+        << "refs slab";
+  }
+}
+
+/// Thaws `tree`'s frozen image under the tree's own knobs and requires
+/// the thaw to refreeze to the same bytes with the same fan-out.
+void ExpectThawRoundTrips(const RStarTree& tree, const std::string& what) {
+  SCOPED_TRACE(what);
+  const PackedRTree packed = PackedRTree::Freeze(tree);
+  Result<RStarTree> thawed = packed.Thaw(tree.options());
+  ASSERT_TRUE(thawed.ok()) << thawed.status().ToString();
+  EXPECT_EQ(thawed->size(), tree.size());
+  EXPECT_EQ(thawed->height(), tree.height());
+  EXPECT_EQ(thawed->max_entries(), tree.max_entries());
+  EXPECT_EQ(thawed->min_entries(), tree.min_entries());
+  ASSERT_TRUE(thawed->CheckInvariants().ok());
+  ExpectSlabBytesIdentical(PackedRTree::Freeze(*thawed), packed);
+}
+
+class PackedThawTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PackedThawTest, FreezeOfThawIsByteIdentical) {
+  const size_t dims = GetParam();
+  const std::vector<Point> points = RandomPoints(1500, dims, 400 + dims);
+
+  ExpectThawRoundTrips(RStarTree(dims), "empty");
+  ExpectThawRoundTrips(BuildTree(RandomPoints(3, dims, 401), dims),
+                       "single leaf");
+  ExpectThawRoundTrips(BulkLoadPoints(dims, points), "bulk-loaded");
+
+  // Insertion past the first overflow exercises both the R* split and
+  // forced reinsertion; the counters prove they ran.
+  const QueryStats before = MetricsRegistry::Default().CaptureQueryStats();
+  RStarTree inserted = BuildTree(points, dims);
+  const QueryStats built =
+      MetricsRegistry::Default().CaptureQueryStats() - before;
+  EXPECT_GT(built.rtree_splits, 0u);
+  EXPECT_GT(built.rtree_reinserts, 0u);
+  ExpectThawRoundTrips(inserted, "insertion-built");
+
+  // Deleting most entries condenses nodes and shrinks the tree.
+  for (size_t i = 0; i < points.size(); i += 10) {
+    for (size_t k = i; k < i + 9 && k < points.size(); ++k) {
+      ASSERT_TRUE(inserted.Delete(Rectangle::FromPoint(points[k]),
+                                  static_cast<RStarTree::Id>(k)));
+    }
+  }
+  ExpectThawRoundTrips(inserted, "delete-condensed");
+}
+
+TEST_P(PackedThawTest, ThawMutatesLikeTheSourceTree) {
+  const size_t dims = GetParam();
+  const std::vector<Point> points = RandomPoints(1200, dims, 500 + dims);
+  RStarTree source = BulkLoadPoints(dims, points);
+  Result<RStarTree> thawed =
+      PackedRTree::Freeze(source).Thaw(source.options());
+  ASSERT_TRUE(thawed.ok()) << thawed.status().ToString();
+
+  // The same interleaving of inserts and deletes on both trees; the
+  // trees must split, reinsert and condense identically.
+  const std::vector<Point> extra = RandomPoints(600, dims, 600 + dims);
+  Rng rng(700 + dims);
+  for (size_t k = 0; k < extra.size(); ++k) {
+    const auto id = static_cast<RStarTree::Id>(points.size() + k);
+    source.Insert(extra[k], id);
+    thawed->Insert(extra[k], id);
+    if (k % 2 == 0) {
+      const size_t victim = rng.NextUint64(points.size());
+      const Rectangle mbr = Rectangle::FromPoint(points[victim]);
+      const auto vid = static_cast<RStarTree::Id>(victim);
+      EXPECT_EQ(source.Delete(mbr, vid), thawed->Delete(mbr, vid));
+    }
+  }
+  ASSERT_TRUE(thawed->CheckInvariants().ok());
+  ExpectSlabBytesIdentical(PackedRTree::Freeze(*thawed),
+                           PackedRTree::Freeze(source));
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, PackedThawTest,
+                         ::testing::Values(1, 2, 3, 5));
+
+TEST(PackedRTreeTest, ThawRejectsShapesTheKnobsCannotHold) {
+  const std::vector<Point> points = RandomPoints(2000, 2, 801);
+  const RStarTree tree = BulkLoadPoints(2, points);
+  const PackedRTree packed = PackedRTree::Freeze(tree);
+
+  // The same image thawed under a smaller page holds over-full nodes.
+  RTreeOptions small = tree.options();
+  small.page_size_bytes = 512;
+  Result<RStarTree> r = packed.Thaw(small);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("[tree-shape]"), std::string::npos)
+      << r.status().ToString();
+
+  // A slab frozen from a tree with larger pages has nodes over the
+  // default fan-out.
+  RTreeOptions big;
+  big.page_size_bytes = 4096;
+  const PackedRTree wide =
+      PackedRTree::Freeze(BulkLoadPoints(2, points, big));
+  r = wide.Thaw(RTreeOptions());
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("overfull"), std::string::npos)
+      << r.status().ToString();
+
+  // Knobs the RStarTree constructor would abort on come back as a
+  // status instead.
+  RTreeOptions bad_fill = tree.options();
+  bad_fill.min_fill_ratio = 0.9;
+  r = packed.Thaw(bad_fill);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("[tree-shape]"), std::string::npos);
 }
 
 }  // namespace

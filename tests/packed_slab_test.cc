@@ -11,6 +11,7 @@
 #include "index/bulk_load.h"
 #include "index/packed_rtree.h"
 #include "index/validate.h"
+#include "storage/crc32.h"
 #include "storage/file_io.h"
 
 namespace wnrs {
@@ -207,6 +208,17 @@ TEST_F(PackedSlabTest, ChecksumSweepIsOptionalButValidationIsNot) {
   ASSERT_TRUE(storage::WriteStringToFile(p, bad).ok());
   EXPECT_FALSE(
       storage::OpenPackedMapped(p, /*verify_checksums=*/false).ok());
+}
+
+TEST_F(PackedSlabTest, Crc32MatchesKnownVectorAndChains) {
+  // The canonical CRC-32 ("123456789" -> 0xCBF43926).
+  EXPECT_EQ(storage::Crc32("123456789", 9), 0xCBF43926u);
+  // Seed-chaining equals one-shot.
+  const std::string data = "hello, storage layer";
+  const uint32_t whole = storage::Crc32(data.data(), data.size());
+  const uint32_t part = storage::Crc32(data.data() + 5, data.size() - 5,
+                                       storage::Crc32(data.data(), 5));
+  EXPECT_EQ(whole, part);
 }
 
 }  // namespace

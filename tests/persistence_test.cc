@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/engine.h"
 #include "data/generators.h"
 #include "storage/crc32.h"
@@ -24,8 +26,7 @@ class PersistenceTest : public ::testing::Test {
   void TearDown() override {
     for (const std::string& d : dirs_) {
       for (const char* f :
-           {storage::kBundleDataFile, storage::kBundleTreeFile,
-            storage::kBundleCustomerTreeFile, storage::kBundlePackedFile,
+           {storage::kBundleDataFile, storage::kBundlePackedFile,
             storage::kBundlePackedCustomerFile}) {
         std::remove((d + "/" + f).c_str());
       }
@@ -165,24 +166,72 @@ TEST_F(PersistenceTest, MutatedEngineRoundTripsTombstonesAndUniverse) {
   EXPECT_FALSE((*reopened)->IsLiveProduct(2000));
 }
 
-TEST_F(PersistenceTest, OpenWithoutPackedPathRefreezesOnDemand) {
+TEST_F(PersistenceTest, AllDynamicEngineBundleReopensOnBothPaths) {
   const Dataset ds = GenerateCarDb(1500, 305);
   WhyNotEngineOptions no_packed;
   no_packed.use_packed_read_path = false;
   const WhyNotEngine original(ds, no_packed);
   const std::string dir = Dir("nopacked");
   ASSERT_TRUE(original.Save(dir).ok());
-  // The bundle has no slab; opening with the packed path on re-freezes
-  // from the loaded dynamic tree.
-  EXPECT_FALSE(
-      storage::FileExists(dir + "/" + storage::kBundlePackedFile));
-  WhyNotEngineOptions packed;
-  packed.use_packed_read_path = true;
-  Result<std::unique_ptr<WhyNotEngine>> reopened =
-      WhyNotEngine::Open(dir, packed);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ExpectEnginesAnswerIdentically(original, **reopened, CarDbQueries(),
-                                 {42, 999});
+  // The slab is the bundle's only index, so Save freezes one even for an
+  // engine that never built it.
+  EXPECT_TRUE(storage::FileExists(dir + "/" + storage::kBundlePackedFile));
+  for (bool use_packed : {true, false}) {
+    SCOPED_TRACE(use_packed ? "packed" : "dynamic");
+    WhyNotEngineOptions open_options;
+    open_options.use_packed_read_path = use_packed;
+    Result<std::unique_ptr<WhyNotEngine>> reopened =
+        WhyNotEngine::Open(dir, open_options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ExpectEnginesAnswerIdentically(original, **reopened, CarDbQueries(),
+                                   {42, 999});
+  }
+}
+
+TEST_F(PersistenceTest, ReopenedEngineMutatesLikeTheOriginal) {
+  const Dataset ds = GenerateCarDb(2000, 309);
+  for (bool use_packed : {true, false}) {
+    SCOPED_TRACE(use_packed ? "packed" : "dynamic");
+    WhyNotEngineOptions options;
+    options.use_packed_read_path = use_packed;
+    WhyNotEngine original(ds, options);
+    const std::string dir = Dir(use_packed ? "mutate-packed" : "mutate-dyn");
+    ASSERT_TRUE(original.Save(dir).ok());
+    Result<std::unique_ptr<WhyNotEngine>> reopened =
+        WhyNotEngine::Open(dir, options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    WhyNotEngine& copy = **reopened;
+
+    // The same calls on both engines: enough inserts to split and
+    // reinsert, removals to condense. The thawed tree must restructure
+    // exactly like the original one.
+    Rng rng(310);
+    for (int k = 0; k < 150; ++k) {
+      const Point p({rng.NextDouble(1000, 60000), rng.NextDouble(0, 2e5)});
+      EXPECT_EQ(original.AddProduct(p), copy.AddProduct(p));
+      if (k % 3 == 0) {
+        const size_t victim = rng.NextUint64(ds.size());
+        EXPECT_EQ(original.RemoveProduct(victim), copy.RemoveProduct(victim));
+      }
+    }
+    // Customers are products here; only the added ids are surely live.
+    ExpectEnginesAnswerIdentically(original, copy, CarDbQueries(),
+                                   {2000, 2075, 2149});
+
+    // Fresh queries (no memo hits): the same answers from the same
+    // number of node reads, so the trees have the same shape.
+    for (const Point& q :
+         {Point({20000, 90000}), Point({9000, 40000}), Point({52000, 5000})}) {
+      SCOPED_TRACE(q.ToString());
+      EXPECT_EQ(original.ReverseSkyline(q), copy.ReverseSkyline(q));
+      EXPECT_EQ(original.last_query_stats().rtree_node_reads,
+                copy.last_query_stats().rtree_node_reads);
+      EXPECT_EQ(original.ModifyBoth(2000, q).best_cost,
+                copy.ModifyBoth(2000, q).best_cost);
+      EXPECT_EQ(original.last_query_stats().rtree_node_reads,
+                copy.last_query_stats().rtree_node_reads);
+    }
+  }
 }
 
 TEST_F(PersistenceTest, ParanoidChecksPassOnReopenedEngine) {
@@ -244,6 +293,71 @@ TEST_F(PersistenceTest, RejectsCorruptBundles) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("[packed-parity]"), std::string::npos)
       << r.status().ToString();
+}
+
+/// Copies `from`'s product slab over `to`'s, as a half-finished Save or
+/// a stray file copy would leave it.
+void CopySlab(const std::string& from, const std::string& to) {
+  std::string slab;
+  ASSERT_TRUE(storage::ReadFileToString(
+                  from + "/" + storage::kBundlePackedFile, &slab)
+                  .ok());
+  ASSERT_TRUE(storage::WriteStringToFile(
+                  to + "/" + storage::kBundlePackedFile, slab)
+                  .ok());
+}
+
+void ExpectOpenRefused(const std::string& dir, const std::string& tag) {
+  Result<std::unique_ptr<WhyNotEngine>> r = WhyNotEngine::Open(dir);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find(tag), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST_F(PersistenceTest, RejectsSlabFromAnotherEngineState) {
+  const Dataset ds = GenerateUniform(600, 2, 311);
+
+  // A slab saved before RemoveProduct next to the post-remove data.bin:
+  // one entry too many for the live count.
+  WhyNotEngine engine(ds, WhyNotEngineOptions{});
+  const std::string before = Dir("before-remove");
+  ASSERT_TRUE(engine.Save(before).ok());
+  ASSERT_TRUE(engine.RemoveProduct(17));
+  const std::string after = Dir("after-remove");
+  ASSERT_TRUE(engine.Save(after).ok());
+  CopySlab(before, after);
+  ExpectOpenRefused(after, "[tree-shape]");
+
+  // The right count, but indexing a tombstoned id: the slab lost product
+  // 17 where data.bin lost product 18.
+  WhyNotEngine lost_a(ds, WhyNotEngineOptions{});
+  WhyNotEngine lost_b(ds, WhyNotEngineOptions{});
+  ASSERT_TRUE(lost_a.RemoveProduct(17));
+  ASSERT_TRUE(lost_b.RemoveProduct(18));
+  const std::string dir_a = Dir("lost-17");
+  const std::string dir_b = Dir("lost-18");
+  ASSERT_TRUE(lost_a.Save(dir_a).ok());
+  ASSERT_TRUE(lost_b.Save(dir_b).ok());
+  CopySlab(dir_a, dir_b);
+  ExpectOpenRefused(dir_b, "[packed-parity]");
+}
+
+TEST_F(PersistenceTest, RejectsVersionOneBundle) {
+  const WhyNotEngine engine(GenerateUniform(300, 2, 312),
+                            WhyNotEngineOptions{});
+  const std::string dir = Dir("v1");
+  ASSERT_TRUE(engine.Save(dir).ok());
+  const std::string path = dir + "/" + std::string(storage::kBundleDataFile);
+  std::string bytes;
+  ASSERT_TRUE(storage::ReadFileToString(path, &bytes).ok());
+  // Version is the second u32 of the header; re-stamp the trailing CRC
+  // so the version check, not the checksum, is what refuses the file.
+  const uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
+  const uint32_t crc = storage::Crc32(bytes.data(), bytes.size() - 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+  ASSERT_TRUE(storage::WriteStringToFile(path, bytes).ok());
+  ExpectOpenRefused(dir, "[version]");
 }
 
 TEST_F(PersistenceTest, BundleDataFormatRejectsTrailingBytes) {

@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -18,9 +18,7 @@
 #include "geometry/rectangle.h"
 #include "index/packed_rtree.h"
 #include "index/rtree.h"
-#include "index/serialize.h"
 #include "index/validate.h"
-#include "storage/file_io.h"
 
 namespace wnrs {
 namespace {
@@ -225,6 +223,51 @@ TEST(ValidatePackedTest, BitLevelMbrDriftIsRejected) {
   EXPECT_TRUE(ValidatePackedMatchesDynamic(packed, tree).ok());
 }
 
+TEST(ValidatePackedTest, SlabMustIndexExactlyTheLivePoints) {
+  const std::vector<Point> points = {Point({1, 1}), Point({2, 3}),
+                                     Point({4, 2})};
+  auto freeze = [](const std::vector<std::pair<Point, RStarTree::Id>>& es) {
+    RStarTree tree(2);
+    for (const auto& [p, id] : es) tree.Insert(p, id);
+    return PackedRTree::Freeze(tree);
+  };
+  const PackedRTree all =
+      freeze({{points[0], 0}, {points[1], 1}, {points[2], 2}});
+  EXPECT_TRUE(ValidatePackedMatchesPoints(all, points, {}).ok());
+
+  // One entry too many for the live count, and the wrong dimensionality.
+  EXPECT_TRUE(MessageNames(
+      ValidatePackedMatchesPoints(all, points, {false, true}), "[tree-shape]"));
+  EXPECT_TRUE(MessageNames(
+      ValidatePackedMatchesPoints(all, {Point({1}), Point({2}), Point({4})},
+                                  {}),
+      "[tree-shape]"));
+
+  // Right count, wrong ids: a tombstoned id, an id past the data, an id
+  // indexed twice, and an MBR that is not its point.
+  const std::vector<bool> third_removed = {false, false, true};
+  EXPECT_TRUE(MessageNames(
+      ValidatePackedMatchesPoints(freeze({{points[0], 0}, {points[2], 2}}),
+                                  points, third_removed),
+      "[packed-parity]"));
+  EXPECT_TRUE(MessageNames(
+      ValidatePackedMatchesPoints(freeze({{points[0], 0}, {points[1], 7}}),
+                                  points, third_removed),
+      "[packed-parity]"));
+  EXPECT_TRUE(MessageNames(
+      ValidatePackedMatchesPoints(freeze({{points[0], 0}, {points[0], 0}}),
+                                  points, third_removed),
+      "[packed-parity]"));
+  EXPECT_TRUE(MessageNames(
+      ValidatePackedMatchesPoints(freeze({{points[0], 0}, {points[0], 1}}),
+                                  points, third_removed),
+      "[packed-parity]"));
+  EXPECT_TRUE(ValidatePackedMatchesPoints(
+                  freeze({{points[1], 1}, {points[0], 0}}), points,
+                  third_removed)
+                  .ok());
+}
+
 // ---------------------------------------------------------------------------
 // Core-layer validators, over the paper's worked example (q = (8.5, 55),
 // RSL(q) = {pt2, pt3, pt4, pt6, pt8}, c1 = index 0 is the why-not
@@ -351,32 +394,6 @@ TEST_F(AnswerValidateTest, WrongMwqBestCostIsRejected) {
   bad.best_cost += 1.0;  // Breaks C1's zero-cost rule or C2's cheapest-move.
   EXPECT_TRUE(MessageNames(ValidateMwqAnswer(in_, kWhyNot, q_, rsl_, bad),
                            "[answer-cost]"));
-}
-
-TEST(ValidateTreeTest, LoadTreeRejectsTrailingGarbage) {
-  const Dataset ds = GenerateUniform(200, 2, 97);
-  RStarTree tree(2);
-  for (size_t i = 0; i < ds.points.size(); ++i) {
-    tree.Insert(ds.points[i], static_cast<RStarTree::Id>(i));
-  }
-  const std::string path = ::testing::TempDir() + "/trailing.tree.txt";
-  ASSERT_TRUE(SaveTree(tree, path).ok());
-
-  std::string contents;
-  ASSERT_TRUE(storage::ReadFileToString(path, &contents).ok());
-  ASSERT_TRUE(
-      storage::WriteStringToFile(path, contents + "\nstray tokens").ok());
-  Result<RStarTree> r = LoadTree(path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("[trailing-bytes]"), std::string::npos)
-      << r.status().ToString();
-
-  // Whitespace-only padding after the last node is not data and loads.
-  ASSERT_TRUE(storage::WriteStringToFile(path, contents + "\n  \n").ok());
-  Result<RStarTree> ok = LoadTree(path);
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(ok->size(), tree.size());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ Rules (ids are stable; cite them in review comments):
       layer exclusively.
   naked-new
       No naked new/delete in src/ outside the node-arena allowlist
-      (rtree.cc and serialize.cc own the R*-tree node lifecycle;
+      (rtree.cc and bulk_load.cc own the R*-tree node lifecycle;
       metrics.cc holds the deliberately leaked process-wide registry and
       its pimpl). Everything else uses containers or make_shared/
       make_unique.
@@ -45,10 +45,9 @@ Rules (ids are stable; cite them in review comments):
       ASSERT_DEATH are exempt: the result is unreachable by definition.
   raw-file-io
       No raw file I/O — fopen, f/i/ofstream (or including <fstream>),
-      open(2), or mmap — in src/ outside src/storage/ and
-      src/index/serialize.cc. Everything that touches the filesystem
-      goes through the storage funnel (file_io.h, storage managers, the
-      slab/bundle stores) so checksumming, error mapping, and the
+      open(2), or mmap — in src/ outside src/storage/. Everything that
+      touches the filesystem goes through the storage funnel (file_io.h,
+      the slab/bundle stores) so checksumming, error mapping, and the
       persistence formats stay in one auditable layer.
   wire-packing
       Byte-order intrinsics (hton*/ntoh*/htobe*/htole*/bswap/byteswap)
@@ -105,9 +104,6 @@ NAKED_NEW_ALLOWLIST = {
     # R*-tree nodes are parent-linked and freed subtree-wise; unique_ptr
     # would fight the reinsert/condense moves for zero safety gain.
     "src/index/rtree.cc",
-    # Rebuilds rtree.cc's node structure when deserializing; same
-    # ownership model.
-    "src/index/serialize.cc",
     # STR bulk loading packs node levels bottom-up as an RStarTree friend;
     # the nodes it news are adopted by the tree it returns.
     "src/index/bulk_load.cc",
@@ -145,10 +141,9 @@ ALLOW_RAW_MUTEX_RE = re.compile(r"wnrs-lint:\s*allow-raw-mutex\(\s*\S")
 # How far above the use the justification may start (comments wrap).
 ALLOW_RAW_MUTEX_WINDOW = 3
 
-# raw-file-io: only the storage layer (and the legacy text serializer it
-# wraps) may open files; everything else goes through that funnel.
+# raw-file-io: only the storage layer may open files; everything else
+# goes through that funnel.
 RAW_FILE_IO_ALLOWLIST_PREFIXES = ("src/storage/",)
-RAW_FILE_IO_ALLOWLIST_FILES = {"src/index/serialize.cc"}
 RAW_FILE_IO_RE = re.compile(
     r"(?<![\w.])(?:std\s*::\s*)?(?:fopen|freopen)\s*\("
     r"|(?<![\w.])(?:std\s*::\s*)?(?:i|o)?fstream\b"
@@ -269,14 +264,13 @@ class Linter:
                     "naked-new", rel, lineno, line,
                     "naked delete outside the node-arena allowlist")
         if (in_src and not rel.startswith(RAW_FILE_IO_ALLOWLIST_PREFIXES)
-                and rel not in RAW_FILE_IO_ALLOWLIST_FILES
                 and (RAW_FILE_IO_RE.search(line)
                      or FSTREAM_INCLUDE_RE.search(line))):
             self.report(
                 "raw-file-io", rel, lineno, line,
                 "raw file I/O outside the storage layer — go through "
-                "storage/file_io.h or a storage manager so checksums and "
-                "formats stay in one place")
+                "storage/file_io.h so checksums and formats stay in one "
+                "place")
         if rel not in WIRE_PACKING_ALLOWLIST:
             if BYTE_ORDER_RE.search(line):
                 self.report(

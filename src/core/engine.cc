@@ -1,9 +1,9 @@
 #include "core/engine.h"
 
-#include <algorithm>
-#include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -11,15 +11,12 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
-#include "core/strict.h"
-#include "core/validate.h"
-#include "geometry/transform.h"
+#include "core/query_core.h"
 #include "index/bulk_load.h"
 #include "index/packed_rtree.h"
 #include "index/validate.h"
 #include "reverse_skyline/bbrs.h"
 #include "reverse_skyline/window_query.h"
-#include "skyline/approx.h"
 #include "skyline/bbs.h"
 #include "storage/engine_store.h"
 #include "storage/file_io.h"
@@ -27,34 +24,6 @@
 
 namespace wnrs {
 namespace {
-
-/// Bound on the query-keyed reverse-skyline memo; evicted FIFO. Workloads
-/// revisit a handful of query points (the paper's batch setting), so a
-/// small bound suffices and keeps lookup a linear scan.
-constexpr size_t kRslCacheCapacity = 64;
-
-/// Bound on the per-core safe-region caches (exact and approximated).
-/// Concurrent serving interleaves several query points, so the cache
-/// holds a few of them instead of the single most recent one; entries are
-/// shared_ptr so an evicted result stays alive for whoever holds it.
-constexpr size_t kSrCacheCapacity = 8;
-
-Rectangle UnionBounds(const Dataset& a, const Dataset& b) {
-  Rectangle bounds = a.Bounds();
-  if (!b.points.empty()) {
-    bounds = bounds.BoundingUnion(b.Bounds());
-  }
-  return bounds;
-}
-
-CostModel MakeCostModel(const Rectangle& universe,
-                        const WhyNotEngineOptions& options) {
-  std::vector<double> alpha = options.alpha;
-  std::vector<double> beta = options.beta;
-  if (alpha.empty()) alpha = EqualWeights(universe.dims());
-  if (beta.empty()) beta = EqualWeights(universe.dims());
-  return CostModel(universe, std::move(alpha), std::move(beta));
-}
 
 /// Anchors for the reference-returning legacy SafeRegion/ApproxSafeRegion
 /// facade methods: the last result handed out on this thread is pinned
@@ -84,18 +53,10 @@ struct RestoredEngineParts {
   std::shared_ptr<ThreadPool> pool;
 };
 
-/// The immutable heart of the engine. Every field set up at construction
-/// is read-only afterwards; the caches at the bottom are internally
-/// synchronized, so a core is safe to share between any number of
-/// threads. Mutations never touch a published core — they copy it (the
-/// heavyweight components are shared_ptrs, copied only when they actually
-/// change) and publish the copy.
-struct EngineCore {
-  WhyNotEngineOptions options;
-  bool shared_relation = false;
-  std::shared_ptr<const Dataset> products;
-  /// Bichromatic mode only; null when the relation is shared.
-  std::shared_ptr<const Dataset> customers;
+/// The single engine's state: the shared query core over one product
+/// R*-tree (plus the customer tree when bichromatic), each served from
+/// its frozen packed image when the packed read path is on.
+struct EngineCore final : QueryCore {
   std::shared_ptr<const RStarTree> tree;
   std::shared_ptr<const RStarTree> customer_tree;
   /// Frozen arena images of the trees above, serving the query hot loops
@@ -105,68 +66,29 @@ struct EngineCore {
   /// plays both roles, like `tree`).
   std::shared_ptr<const PackedRTree> packed_tree;
   std::shared_ptr<const PackedRTree> packed_customer_tree;
-  /// Tombstones (shared-relation customers disappear with their product).
-  std::vector<bool> removed;
-  Rectangle universe;
-  CostModel cost_model;
-  /// Section VI-B.1 offline store; null/empty = absent.
-  std::shared_ptr<const std::vector<std::vector<Point>>> approx_dsls;
-  size_t approx_k = 0;
-  std::shared_ptr<ThreadPool> pool;
 
-  // Derived caches. Mutex-guarded FIFO memos keyed by query point; the
-  // values are shared_ptr (safe-region) or plain vectors (RSL) and are
-  // computed outside the lock, first insert wins.
-  mutable Mutex rsl_mu;
-  mutable std::vector<std::pair<Point, std::vector<size_t>>> rsl_memo
-      WNRS_GUARDED_BY(rsl_mu);
-  mutable Mutex sr_mu;
-  mutable std::vector<std::pair<Point, std::shared_ptr<const SafeRegionResult>>>
-      sr_cache WNRS_GUARDED_BY(sr_mu);
-  mutable Mutex approx_sr_mu;
-  mutable std::vector<std::pair<Point, std::shared_ptr<const SafeRegionResult>>>
-      approx_sr_cache WNRS_GUARDED_BY(approx_sr_mu);
-
-  EngineCore(Dataset products_in, WhyNotEngineOptions options_in,
-             std::shared_ptr<ThreadPool> pool_in)
-      : options(options_in),
-        shared_relation(true),
-        products(std::make_shared<const Dataset>(std::move(products_in))),
-        tree(std::make_shared<const RStarTree>(BulkLoadPoints(
-            products->dims, products->points, options.rtree))),
-        universe(products->Bounds()),
-        cost_model(MakeCostModel(universe, options)),
-        pool(std::move(pool_in)) {
-    WNRS_CHECK(!products->points.empty());
-    if (options.use_packed_read_path) {
-      packed_tree =
-          std::make_shared<const PackedRTree>(PackedRTree::Freeze(*tree));
-    }
-    ParanoidCheckIndex();
-  }
-
-  EngineCore(Dataset products_in, Dataset customers_in,
+  /// Builds the trees over `products_in` (and `customers_in`, null for
+  /// the shared relation).
+  EngineCore(std::shared_ptr<const Dataset> products_in,
+             std::shared_ptr<const Dataset> customers_in,
              WhyNotEngineOptions options_in,
              std::shared_ptr<ThreadPool> pool_in)
-      : options(options_in),
-        shared_relation(false),
-        products(std::make_shared<const Dataset>(std::move(products_in))),
-        customers(std::make_shared<const Dataset>(std::move(customers_in))),
+      : QueryCore(std::move(options_in), products_in, customers_in, {},
+                  UnionBounds(*products_in, customers_in.get()),
+                  std::move(pool_in)),
         tree(std::make_shared<const RStarTree>(BulkLoadPoints(
-            products->dims, products->points, options.rtree))),
-        customer_tree(std::make_shared<const RStarTree>(BulkLoadPoints(
-            customers->dims, customers->points, options.rtree))),
-        universe(UnionBounds(*products, *customers)),
-        cost_model(MakeCostModel(universe, options)),
-        pool(std::move(pool_in)) {
-    WNRS_CHECK(products->dims == customers->dims);
-    WNRS_CHECK(!products->points.empty());
-    WNRS_CHECK(!customers->points.empty());
+            products->dims, products->points, options.rtree))) {
+    if (customers != nullptr) {
+      customer_tree = std::make_shared<const RStarTree>(BulkLoadPoints(
+          customers->dims, customers->points, options.rtree));
+    }
     if (options.use_packed_read_path) {
       packed_tree =
           std::make_shared<const PackedRTree>(PackedRTree::Freeze(*tree));
-      packed_customer_tree = std::make_shared<const PackedRTree>(
-          PackedRTree::Freeze(*customer_tree));
+      if (customer_tree != nullptr) {
+        packed_customer_tree = std::make_shared<const PackedRTree>(
+            PackedRTree::Freeze(*customer_tree));
+      }
     }
     ParanoidCheckIndex();
   }
@@ -178,111 +100,40 @@ struct EngineCore {
   /// recomputed from that persisted universe, so cost numbers match the
   /// saved engine exactly.
   explicit EngineCore(RestoredEngineParts parts)
-      : options(std::move(parts.options)),
-        shared_relation(parts.shared_relation),
-        products(std::move(parts.products)),
-        customers(std::move(parts.customers)),
+      : QueryCore(std::move(parts.options), std::move(parts.products),
+                  std::move(parts.customers), std::move(parts.removed),
+                  std::move(parts.universe), std::move(parts.pool)),
         tree(std::move(parts.tree)),
         customer_tree(std::move(parts.customer_tree)),
         packed_tree(std::move(parts.packed_tree)),
-        packed_customer_tree(std::move(parts.packed_customer_tree)),
-        removed(std::move(parts.removed)),
-        universe(std::move(parts.universe)),
-        cost_model(MakeCostModel(universe, options)),
-        pool(std::move(parts.pool)) {
-    WNRS_CHECK(products != nullptr && !products->points.empty());
-    WNRS_CHECK(shared_relation == (customers == nullptr));
+        packed_customer_tree(std::move(parts.packed_customer_tree)) {
+    WNRS_CHECK(shared_relation == parts.shared_relation);
     ParanoidCheckIndex();
   }
 
-  /// Copy-on-write seed: copies the state, starts with fresh (empty)
-  /// caches. Mutations adjust the fields that changed and publish.
-  EngineCore(const EngineCore& other)
-      : options(other.options),
-        shared_relation(other.shared_relation),
-        products(other.products),
-        customers(other.customers),
-        tree(other.tree),
-        customer_tree(other.customer_tree),
-        packed_tree(other.packed_tree),
-        packed_customer_tree(other.packed_customer_tree),
-        removed(other.removed),
-        universe(other.universe),
-        cost_model(other.cost_model),
-        approx_dsls(other.approx_dsls),
-        approx_k(other.approx_k),
-        pool(other.pool) {}
-  EngineCore& operator=(const EngineCore&) = delete;
-
-  const Dataset& customer_dataset() const {
-    return shared_relation ? *products : *customers;
-  }
-
-  bool HasApproxDsls() const {
-    return approx_dsls != nullptr && !approx_dsls->empty();
-  }
+  /// Copy-on-write seed (see QueryCore).
+  EngineCore(const EngineCore& other) = default;
 
   std::optional<RStarTree::Id> ExcludeFor(size_t customer_index) const {
     if (!shared_relation) return std::nullopt;
     return static_cast<RStarTree::Id>(customer_index);
   }
 
-  const Point& CustomerPoint(size_t c) const {
-    const Dataset& ds = customer_dataset();
-    WNRS_CHECK(c < ds.points.size());
-    return ds.points[c];
-  }
-
-  // ---- Input validation (the Try* layer's non-aborting counterparts of
-  // the WNRS_CHECKs above). ----
-
-  Status ValidatePoint(const Point& p, const char* what) const {
-    if (p.dims() != products->dims) {
-      return Status::InvalidArgument(
-          StrFormat("%s has %zu dimensions, engine has %zu", what, p.dims(),
-                    products->dims));
+  /// Installs a mutated product tree, re-freezing its packed image, and
+  /// re-checks the index when paranoid.
+  void ReplaceTree(std::shared_ptr<const RStarTree> next_tree) {
+    tree = std::move(next_tree);
+    if (options.use_packed_read_path) {
+      packed_tree =
+          std::make_shared<const PackedRTree>(PackedRTree::Freeze(*tree));
     }
-    for (size_t i = 0; i < p.dims(); ++i) {
-      if (!std::isfinite(p[i])) {
-        return Status::InvalidArgument(
-            StrFormat("%s has a non-finite coordinate at dimension %zu", what,
-                      i));
-      }
-    }
-    return Status::Ok();
-  }
-
-  Status ValidateQuery(const Point& q) const {
-    return ValidatePoint(q, "query point");
-  }
-
-  Status ValidateCustomer(size_t c) const {
-    const Dataset& ds = customer_dataset();
-    if (c >= ds.points.size()) {
-      return Status::OutOfRange(
-          StrFormat("customer index %zu out of range (engine has %zu)", c,
-                    ds.points.size()));
-    }
-    if (shared_relation && c < removed.size() && removed[c]) {
-      return Status::NotFound(
-          StrFormat("customer %zu refers to a removed product", c));
-    }
-    return Status::Ok();
-  }
-
-  Status ValidateApproxStore() const {
-    if (!HasApproxDsls()) {
-      return Status::FailedPrecondition(
-          "approximated-DSL store missing; run PrecomputeApproxDsls or "
-          "LoadApproxDsls first");
-    }
-    return Status::Ok();
+    ParanoidCheckIndex();
   }
 
   // ---- paranoid_checks hooks (deep validators; see core/validate.h and
   // index/validate.h). Violations abort: never serve a wrong answer. ----
 
-  AnswerValidationInput MakeValidationInput() const {
+  std::optional<AnswerValidationInput> ValidationInput() const override {
     AnswerValidationInput in;
     in.products_tree = tree.get();
     in.customers = &customer_dataset().points;
@@ -317,18 +168,17 @@ struct EngineCore {
     }
   }
 
-  // ---- Read path. All const; results are bit-identical regardless of
-  // thread count or cache state. ----
+  // ---- Index access, served by the packed read path when available. ----
 
   /// Window-emptiness probe against the product set (the reverse-skyline
-  /// membership test), served by the packed read path when available.
+  /// membership test).
   bool ProductWindowEmpty(const Point& c, const Point& q,
                           std::optional<RStarTree::Id> exclude) const {
     return packed_tree != nullptr ? WindowEmpty(*packed_tree, c, q, exclude)
                                   : WindowEmpty(*tree, c, q, exclude);
   }
 
-  /// Window hit set Λ(c, q) as ascending product ids (packed dispatch).
+  /// Window hit set Λ(c, q) as ascending product ids.
   std::vector<RStarTree::Id> ProductWindowHits(
       const Point& c, const Point& q,
       std::optional<RStarTree::Id> exclude) const {
@@ -360,15 +210,33 @@ struct EngineCore {
                : GlobalSkylineCandidates(*tree, q, exclude);
   }
 
-  /// The probe NudgeToStrictMember and the strict post-passes run on,
-  /// with customer `c`'s own-tuple exclusion bound in.
-  StrictWindowEmptyFn StrictProbeFor(size_t c) const {
-    return [this, c](const Point& cc, const Point& qq) {
-      return ProductWindowEmpty(cc, qq, ExcludeFor(c));
-    };
+  // ---- The QueryCore probes: the calls above with the customer's
+  // own-tuple exclusion bound in. ----
+
+  bool ProbeWindowEmpty(const Point& c_pt, const Point& q,
+                        size_t customer) const override {
+    return ProductWindowEmpty(c_pt, q, ExcludeFor(customer));
   }
 
-  std::vector<size_t> ComputeReverseSkyline(const Point& q) const {
+  std::vector<RStarTree::Id> ProbeWindowHits(const Point& c_pt,
+                                             const Point& q,
+                                             size_t customer) const override {
+    return ProductWindowHits(c_pt, q, ExcludeFor(customer));
+  }
+
+  std::vector<RStarTree::Id> ProbeWindowFrontier(
+      const Point& c_pt, const Point& q, const Point& origin,
+      size_t customer) const override {
+    return ProductWindowFrontier(c_pt, q, origin, ExcludeFor(customer));
+  }
+
+  std::vector<RStarTree::Id> ProbeDynamicSkyline(
+      size_t customer) const override {
+    return ProductDynamicSkyline(CustomerPoint(customer),
+                                 ExcludeFor(customer));
+  }
+
+  std::vector<size_t> ComputeReverseSkyline(const Point& q) const override {
     std::vector<RStarTree::Id> ids;
     if (shared_relation) {
       ids = packed_tree != nullptr
@@ -389,38 +257,6 @@ struct EngineCore {
     return out;
   }
 
-  std::vector<size_t> ReverseSkyline(const Point& q) const {
-    {
-      MutexLock lock(rsl_mu);
-      for (const auto& [key, rsl] : rsl_memo) {
-        if (key == q) {
-          MetricAdd(CounterId::kRslCacheHits);
-          return rsl;
-        }
-      }
-    }
-    MetricAdd(CounterId::kRslCacheMisses);
-    // Compute outside the lock; concurrent misses for the same q may both
-    // compute, but the results are identical and the first insert wins.
-    std::vector<size_t> out = ComputeReverseSkyline(q);
-    MutexLock lock(rsl_mu);
-    for (const auto& [key, rsl] : rsl_memo) {
-      if (key == q) return rsl;
-    }
-    if (rsl_memo.size() >= kRslCacheCapacity) {
-      rsl_memo.erase(rsl_memo.begin());
-      MetricAdd(CounterId::kRslCacheEvictions);
-    }
-    rsl_memo.emplace_back(q, out);
-    MetricSetGauge(GaugeId::kRslCacheSize,
-                   static_cast<int64_t>(rsl_memo.size()));
-    return out;
-  }
-
-  bool IsReverseSkylineMember(size_t c, const Point& q) const {
-    return ProductWindowEmpty(CustomerPoint(c), q, ExcludeFor(c));
-  }
-
   std::vector<size_t> CustomersInRange(const Rectangle& window) const {
     // Both RangeQueryIds implementations return ascending ids.
     std::vector<RStarTree::Id> ids;
@@ -436,316 +272,6 @@ struct EngineCore {
     out.reserve(ids.size());
     for (RStarTree::Id id : ids) out.push_back(static_cast<size_t>(id));
     return out;
-  }
-
-  /// Λ from one window query; F from the window skyline with origin q,
-  /// which yields the same ascending ids as a BNL pass over Λ
-  /// (ExplainWhyNotFromCulprits) without mapping every culprit.
-  WhyNotExplanation Explain(size_t c, const Point& q) const {
-    const Point& cp = CustomerPoint(c);
-    WhyNotExplanation out;
-    out.culprits = ProductWindowHits(cp, q, ExcludeFor(c));
-    out.already_member = out.culprits.empty();
-    if (!out.already_member) {
-      out.frontier = ProductWindowFrontier(cp, q, /*origin=*/q, ExcludeFor(c));
-    }
-    return out;
-  }
-
-  std::optional<Point> NudgeToStrictMember(const Point& c_star, const Point& q,
-                                           size_t customer_index) const {
-    return NudgeToStrictMemberImpl(c_star, q, universe,
-                                   options.epsilon_fraction,
-                                   StrictProbeFor(customer_index));
-  }
-
-  /// The query-side twin of NudgeToStrictMember: moves q* epsilon toward
-  /// the customer per dimension (shrinking the membership window) until
-  /// c_t is a strict member under the nudged query.
-  std::optional<Point> NudgeQueryToStrict(const Point& q_star,
-                                          size_t customer_index) const {
-    return NudgeQueryToStrictImpl(q_star, CustomerPoint(customer_index),
-                                  universe, options.epsilon_fraction,
-                                  StrictProbeFor(customer_index));
-  }
-
-  // Semantics::kStrict post-passes (core/strict.h), bound to this core's
-  // window probe and cost model.
-
-  void ApplyStrictMwp(size_t c, const Point& q, MwpResult* r) const {
-    ApplyStrictMwpImpl(CustomerPoint(c), q, cost_model, universe,
-                       options.epsilon_fraction, StrictProbeFor(c), r);
-  }
-
-  void ApplyStrictMqp(size_t c, const Point& q, MqpResult* r) const {
-    ApplyStrictMqpImpl(CustomerPoint(c), q, cost_model, universe,
-                       options.epsilon_fraction, StrictProbeFor(c), r);
-  }
-
-  void ApplyStrictMwq(size_t c, MwqResult* r) const {
-    ApplyStrictMwqImpl(CustomerPoint(c), cost_model, universe,
-                       options.epsilon_fraction, StrictProbeFor(c), r);
-  }
-
-  /// Algorithm 1 at boundary semantics: from the window-skyline frontier
-  /// (fast_frontier), else from the full culprit set.
-  MwpResult ModifyWhyNotBoundary(size_t c, const Point& q) const {
-    const Point& cp = CustomerPoint(c);
-    if (options.fast_frontier) {
-      return ModifyWhyNotPointFromFrontier(
-          products->points,
-          ProductWindowFrontier(cp, q, /*origin=*/q, ExcludeFor(c)), cp, q,
-          cost_model, options.sort_dim);
-    }
-    return ModifyWhyNotPointFromCulprits(
-        products->points, ProductWindowHits(cp, q, ExcludeFor(c)), cp, q,
-        cost_model, options.sort_dim);
-  }
-
-  MwpResult ModifyWhyNot(size_t c, const Point& q, Semantics semantics) const {
-    MwpResult out = ModifyWhyNotBoundary(c, q);
-    if (semantics == Semantics::kStrict) ApplyStrictMwp(c, q, &out);
-    if (options.paranoid_checks) {
-      const Status s = ValidateMwpAnswer(MakeValidationInput(), c, q, out);
-      WNRS_CHECK(s.ok()) << "paranoid MWP answer: " << s.ToString();
-    }
-    return out;
-  }
-
-  MqpResult ModifyQuery(size_t c, const Point& q, Semantics semantics) const {
-    const Point& cp = CustomerPoint(c);
-    MqpResult out =
-        options.fast_frontier
-            ? ModifyQueryPointFromFrontier(
-                  products->points,
-                  ProductWindowFrontier(cp, q, /*origin=*/cp, ExcludeFor(c)),
-                  cp, q, cost_model, options.sort_dim)
-            : ModifyQueryPointFromCulprits(
-                  products->points, ProductWindowHits(cp, q, ExcludeFor(c)),
-                  cp, q, cost_model, options.sort_dim);
-    if (semantics == Semantics::kStrict) ApplyStrictMqp(c, q, &out);
-    if (options.paranoid_checks) {
-      const Status s = ValidateMqpAnswer(MakeValidationInput(), c, q, out);
-      WNRS_CHECK(s.ok()) << "paranoid MQP answer: " << s.ToString();
-    }
-    return out;
-  }
-
-  std::shared_ptr<const SafeRegionResult> SafeRegion(const Point& q) const {
-    {
-      MutexLock lock(sr_mu);
-      for (const auto& [key, sr] : sr_cache) {
-        if (key == q) return sr;
-      }
-    }
-    SafeRegionOptions sr_options;
-    sr_options.sort_dim = options.sort_dim;
-    sr_options.max_rectangles = options.max_safe_region_rectangles;
-    const std::vector<size_t> rsl = ReverseSkyline(q);
-    auto computed = std::make_shared<const SafeRegionResult>(
-        ComputeSafeRegionWithDsls(
-            products->points, customer_dataset().points, rsl, q, universe,
-            [this](size_t customer) {
-              return ProductDynamicSkyline(CustomerPoint(customer),
-                                           ExcludeFor(customer));
-            },
-            sr_options));
-    if (options.paranoid_checks) {
-      const Status s =
-          ValidateSafeRegion(MakeValidationInput(), rsl, q, *computed);
-      WNRS_CHECK(s.ok()) << "paranoid safe region: " << s.ToString();
-    }
-    MutexLock lock(sr_mu);
-    for (const auto& [key, sr] : sr_cache) {
-      if (key == q) return sr;
-    }
-    if (sr_cache.size() >= kSrCacheCapacity) {
-      sr_cache.erase(sr_cache.begin());
-    }
-    sr_cache.emplace_back(q, computed);
-    return computed;
-  }
-
-  std::shared_ptr<const SafeRegionResult> ApproxSafeRegion(
-      const Point& q) const {
-    WNRS_CHECK(HasApproxDsls());
-    {
-      MutexLock lock(approx_sr_mu);
-      for (const auto& [key, sr] : approx_sr_cache) {
-        if (key == q) return sr;
-      }
-    }
-    SafeRegionOptions sr_options;
-    sr_options.sort_dim = options.sort_dim;
-    sr_options.max_rectangles = options.max_safe_region_rectangles;
-    const std::vector<size_t> rsl = ReverseSkyline(q);
-    auto computed = std::make_shared<const SafeRegionResult>(
-        ComputeApproxSafeRegion(customer_dataset().points, *approx_dsls, rsl,
-                                q, universe, sr_options));
-    if (options.paranoid_checks) {
-      // The approximated region must be sound too — it is a subset of the
-      // exact safe region by construction, so the same sampled probes
-      // apply unchanged.
-      const Status s =
-          ValidateSafeRegion(MakeValidationInput(), rsl, q, *computed);
-      WNRS_CHECK(s.ok()) << "paranoid approx safe region: " << s.ToString();
-    }
-    MutexLock lock(approx_sr_mu);
-    for (const auto& [key, sr] : approx_sr_cache) {
-      if (key == q) return sr;
-    }
-    if (approx_sr_cache.size() >= kSrCacheCapacity) {
-      approx_sr_cache.erase(approx_sr_cache.begin());
-    }
-    approx_sr_cache.emplace_back(q, computed);
-    return computed;
-  }
-
-  SafeRegionResult ConstrainedSafeRegion(const Point& q,
-                                         const Rectangle& limits) const {
-    WNRS_CHECK(limits.dims() == q.dims());
-    SafeRegionResult out = *SafeRegion(q);
-    out.region.ClipTo(limits);
-    if (!out.region.Contains(q)) {
-      out.region.Add(Rectangle::FromPoint(q));
-    }
-    return out;
-  }
-
-  KeepsMembersFn MakeKeepsMembersFn(const Point& q) const {
-    std::vector<size_t> rsl = ReverseSkyline(q);
-    return [this, rsl = std::move(rsl)](const Point& q_star) {
-      // One independent membership probe per RSL member. Inside an outer
-      // parallel loop (batch answering) this degrades to the serial scan.
-      std::atomic<bool> keeps{true};
-      pool->ParallelFor(0, rsl.size(), [&](size_t i) {
-        if (!keeps.load(std::memory_order_relaxed)) return;
-        if (!ProductWindowEmpty(CustomerPoint(rsl[i]), q_star,
-                                ExcludeFor(rsl[i]))) {
-          keeps.store(false, std::memory_order_relaxed);
-        }
-      });
-      return keeps.load(std::memory_order_relaxed);
-    };
-  }
-
-  /// MWQ results are re-proved against RSL(q) (cached) when paranoid.
-  void ParanoidCheckMwq(size_t c, const Point& q, const MwqResult& out) const {
-    if (!options.paranoid_checks) return;
-    const Status s =
-        ValidateMwqAnswer(MakeValidationInput(), c, q, ReverseSkyline(q), out);
-    WNRS_CHECK(s.ok()) << "paranoid MWQ answer: " << s.ToString();
-  }
-
-  /// Algorithm 4's three index probes for customer c, on this core's
-  /// packed-dispatching probes.
-  MwqPrimitives MakeMwqPrimitives(size_t c) const {
-    MwqPrimitives primitives;
-    primitives.window_empty = [this, c](const Point& probe_q) {
-      return ProductWindowEmpty(CustomerPoint(c), probe_q, ExcludeFor(c));
-    };
-    primitives.dynamic_skyline = [this, c] {
-      return ProductDynamicSkyline(CustomerPoint(c), ExcludeFor(c));
-    };
-    primitives.modify_why_not = [this, c](const Point& probe_q) {
-      return ModifyWhyNotBoundary(c, probe_q);
-    };
-    return primitives;
-  }
-
-  /// Algorithm 4 with q confined to `region` (exact, approximated or
-  /// clipped SR(q)).
-  MwqResult ModifyBothWithin(size_t c, const Point& q,
-                             const RectRegion& region,
-                             Semantics semantics) const {
-    MwqResult out = ModifyQueryAndWhyNotPoint(
-        MakeMwqPrimitives(c), products->points, CustomerPoint(c), q, region,
-        universe, cost_model, options.sort_dim, MakeKeepsMembersFn(q));
-    if (semantics == Semantics::kStrict) ApplyStrictMwq(c, &out);
-    ParanoidCheckMwq(c, q, out);
-    return out;
-  }
-
-  MwqResult ModifyBoth(size_t c, const Point& q, Semantics semantics) const {
-    const std::shared_ptr<const SafeRegionResult> sr = SafeRegion(q);
-    return ModifyBothWithin(c, q, sr->region, semantics);
-  }
-
-  MwqResult ModifyBothApprox(size_t c, const Point& q,
-                             Semantics semantics) const {
-    const std::shared_ptr<const SafeRegionResult> sr = ApproxSafeRegion(q);
-    return ModifyBothWithin(c, q, sr->region, semantics);
-  }
-
-  MwqResult ModifyBothConstrained(size_t c, const Point& q,
-                                  const Rectangle& limits,
-                                  Semantics semantics) const {
-    return ModifyBothWithin(c, q, ConstrainedSafeRegion(q, limits).region,
-                            semantics);
-  }
-
-  std::vector<size_t> LostCustomers(const Point& q, const Point& q_star) const {
-    const std::vector<size_t> members = ReverseSkyline(q);
-    const std::vector<unsigned char> is_lost =
-        pool->ParallelMap<unsigned char>(members.size(), [&](size_t i) {
-          return ProductWindowEmpty(CustomerPoint(members[i]), q_star,
-                                    ExcludeFor(members[i]))
-                     ? static_cast<unsigned char>(0)
-                     : static_cast<unsigned char>(1);
-        });
-    std::vector<size_t> lost;
-    for (size_t i = 0; i < members.size(); ++i) {
-      if (is_lost[i] != 0) lost.push_back(members[i]);
-    }
-    return lost;
-  }
-
-  std::vector<MwqResult> ModifyBothBatch(const std::vector<size_t>& whos,
-                                         const Point& q, bool use_approx,
-                                         Semantics semantics) const {
-    // Materialize the safe region and RSL(q) once, before fanning out.
-    // The caches are synchronized, so this is a performance (and counter
-    // determinism) measure, not a safety one: without it every worker
-    // missing the cold cache would redundantly compute the same region.
-    if (use_approx) {
-      // wnrs-lint: allow-discard(cache prewarm; workers re-read the value)
-      (void)ApproxSafeRegion(q);
-    } else {
-      // wnrs-lint: allow-discard(cache prewarm; workers re-read the value)
-      (void)SafeRegion(q);
-    }
-    // wnrs-lint: allow-discard(cache prewarm; workers re-read the value)
-    (void)ReverseSkyline(q);
-    return pool->ParallelMap<MwqResult>(whos.size(), [&](size_t i) {
-      return use_approx ? ModifyBothApprox(whos[i], q, semantics)
-                        : ModifyBoth(whos[i], q, semantics);
-    });
-  }
-
-  double MqpEvaluationCost(const Point& q, const Point& q_star) const {
-    // alpha-cost of leaving the safe region: distance from the closest
-    // safe point q' to q*.
-    std::shared_ptr<const SafeRegionResult> sr = SafeRegion(q);
-    double cost = 0.0;
-    if (!sr->region.empty()) {
-      const Point q_prime = sr->region.NearestPointTo(q_star);
-      cost += cost_model.QueryMoveCost(q_prime, q_star);
-    } else {
-      cost += cost_model.QueryMoveCost(q, q_star);
-    }
-    // beta-cost of winning back every lost reverse-skyline customer. The
-    // per-member costs are computed in parallel but summed in member
-    // order, keeping the total bit-identical to the serial loop.
-    const std::vector<size_t> rsl = ReverseSkyline(q);
-    const std::vector<double> win_back =
-        pool->ParallelMap<double>(rsl.size(), [&](size_t i) {
-          const size_t c = rsl[i];
-          if (IsReverseSkylineMember(c, q_star)) return 0.0;
-          const MwpResult mwp = ModifyWhyNot(c, q_star, Semantics::kBoundary);
-          return mwp.candidates.empty() ? 0.0 : mwp.candidates.front().cost;
-        });
-    for (double v : win_back) cost += v;
-    return cost;
   }
 };
 
@@ -798,67 +324,27 @@ class WhyNotEngine::StatsScope {
 };
 
 // ---------------------------------------------------------------------------
-// EngineSnapshot: thin const delegation onto the pinned core.
+// EngineSnapshot: the calls beyond QuerySession, on the pinned core.
 // ---------------------------------------------------------------------------
 
-const Dataset& EngineSnapshot::products() const { return *core_->products; }
-const Dataset& EngineSnapshot::customers() const {
-  return core_->customer_dataset();
-}
-bool EngineSnapshot::shared_relation() const { return core_->shared_relation; }
-const CostModel& EngineSnapshot::cost_model() const {
-  return core_->cost_model;
-}
-const RStarTree& EngineSnapshot::product_tree() const { return *core_->tree; }
-const Rectangle& EngineSnapshot::universe() const { return core_->universe; }
-bool EngineSnapshot::HasApproxDsls() const { return core_->HasApproxDsls(); }
-size_t EngineSnapshot::approx_k() const { return core_->approx_k; }
+EngineSnapshot::EngineSnapshot(std::shared_ptr<const internal::EngineCore> core)
+    : QuerySession(std::move(core)) {}
 
-bool EngineSnapshot::IsLiveProduct(size_t id) const {
-  if (id >= core_->products->points.size()) return false;
-  return id >= core_->removed.size() || !core_->removed[id];
+const internal::EngineCore& EngineSnapshot::engine_core() const {
+  // An EngineSnapshot is only ever built over an EngineCore.
+  return static_cast<const internal::EngineCore&>(*core_);
 }
 
-std::vector<size_t> EngineSnapshot::ReverseSkyline(const Point& q) const {
-  return core_->ReverseSkyline(q);
-}
-bool EngineSnapshot::IsReverseSkylineMember(size_t c, const Point& q) const {
-  return core_->IsReverseSkylineMember(c, q);
+const RStarTree& EngineSnapshot::product_tree() const {
+  return *engine_core().tree;
 }
 std::vector<size_t> EngineSnapshot::CustomersInRange(
     const Rectangle& window) const {
-  return core_->CustomersInRange(window);
-}
-WhyNotExplanation EngineSnapshot::Explain(size_t c, const Point& q) const {
-  return core_->Explain(c, q);
-}
-MwpResult EngineSnapshot::ModifyWhyNot(size_t c, const Point& q,
-                                       Semantics semantics) const {
-  return core_->ModifyWhyNot(c, q, semantics);
-}
-MqpResult EngineSnapshot::ModifyQuery(size_t c, const Point& q,
-                                      Semantics semantics) const {
-  return core_->ModifyQuery(c, q, semantics);
-}
-std::shared_ptr<const SafeRegionResult> EngineSnapshot::SafeRegion(
-    const Point& q) const {
-  return core_->SafeRegion(q);
-}
-std::shared_ptr<const SafeRegionResult> EngineSnapshot::ApproxSafeRegion(
-    const Point& q) const {
-  return core_->ApproxSafeRegion(q);
+  return engine_core().CustomersInRange(window);
 }
 SafeRegionResult EngineSnapshot::ConstrainedSafeRegion(
     const Point& q, const Rectangle& limits) const {
   return core_->ConstrainedSafeRegion(q, limits);
-}
-MwqResult EngineSnapshot::ModifyBoth(size_t c, const Point& q,
-                                     Semantics semantics) const {
-  return core_->ModifyBoth(c, q, semantics);
-}
-MwqResult EngineSnapshot::ModifyBothApprox(size_t c, const Point& q,
-                                           Semantics semantics) const {
-  return core_->ModifyBothApprox(c, q, semantics);
 }
 MwqResult EngineSnapshot::ModifyBothConstrained(size_t c, const Point& q,
                                                 const Rectangle& limits,
@@ -868,11 +354,6 @@ MwqResult EngineSnapshot::ModifyBothConstrained(size_t c, const Point& q,
 std::vector<size_t> EngineSnapshot::LostCustomers(const Point& q,
                                                   const Point& q_star) const {
   return core_->LostCustomers(q, q_star);
-}
-std::vector<MwqResult> EngineSnapshot::ModifyBothBatch(
-    const std::vector<size_t>& whos, const Point& q, bool use_approx,
-    Semantics semantics) const {
-  return core_->ModifyBothBatch(whos, q, use_approx, semantics);
 }
 double EngineSnapshot::MqpEvaluationCost(const Point& q,
                                          const Point& q_star) const {
@@ -885,85 +366,25 @@ std::optional<Point> EngineSnapshot::NudgeToStrictMember(
 bool EngineSnapshot::ProbeWindowEmpty(
     const Point& c, const Point& q,
     std::optional<RStarTree::Id> exclude) const {
-  return core_->ProductWindowEmpty(c, q, exclude);
+  return engine_core().ProductWindowEmpty(c, q, exclude);
 }
 std::vector<RStarTree::Id> EngineSnapshot::ProbeWindowHits(
     const Point& c, const Point& q,
     std::optional<RStarTree::Id> exclude) const {
-  return core_->ProductWindowHits(c, q, exclude);
+  return engine_core().ProductWindowHits(c, q, exclude);
 }
 std::vector<RStarTree::Id> EngineSnapshot::ProbeWindowFrontier(
     const Point& c, const Point& q, const Point& origin,
     std::optional<RStarTree::Id> exclude) const {
-  return core_->ProductWindowFrontier(c, q, origin, exclude);
+  return engine_core().ProductWindowFrontier(c, q, origin, exclude);
 }
 std::vector<RStarTree::Id> EngineSnapshot::ProbeDynamicSkyline(
     const Point& c, std::optional<RStarTree::Id> exclude) const {
-  return core_->ProductDynamicSkyline(c, exclude);
+  return engine_core().ProductDynamicSkyline(c, exclude);
 }
 std::vector<RStarTree::Id> EngineSnapshot::ProbeGlobalSkylineCandidates(
     const Point& q, std::optional<RStarTree::Id> exclude) const {
-  return core_->ProductGlobalSkylineCandidates(q, exclude);
-}
-
-Result<std::vector<size_t>> EngineSnapshot::TryReverseSkyline(
-    const Point& q) const {
-  WNRS_RETURN_IF_ERROR(core_->ValidateQuery(q));
-  return core_->ReverseSkyline(q);
-}
-Result<WhyNotExplanation> EngineSnapshot::TryExplain(size_t c,
-                                                     const Point& q) const {
-  WNRS_RETURN_IF_ERROR(core_->ValidateQuery(q));
-  WNRS_RETURN_IF_ERROR(core_->ValidateCustomer(c));
-  return core_->Explain(c, q);
-}
-Result<MwpResult> EngineSnapshot::TryModifyWhyNot(size_t c, const Point& q,
-                                                  Semantics semantics) const {
-  WNRS_RETURN_IF_ERROR(core_->ValidateQuery(q));
-  WNRS_RETURN_IF_ERROR(core_->ValidateCustomer(c));
-  return core_->ModifyWhyNot(c, q, semantics);
-}
-Result<MqpResult> EngineSnapshot::TryModifyQuery(size_t c, const Point& q,
-                                                 Semantics semantics) const {
-  WNRS_RETURN_IF_ERROR(core_->ValidateQuery(q));
-  WNRS_RETURN_IF_ERROR(core_->ValidateCustomer(c));
-  return core_->ModifyQuery(c, q, semantics);
-}
-Result<std::shared_ptr<const SafeRegionResult>> EngineSnapshot::TrySafeRegion(
-    const Point& q) const {
-  WNRS_RETURN_IF_ERROR(core_->ValidateQuery(q));
-  return core_->SafeRegion(q);
-}
-Result<std::shared_ptr<const SafeRegionResult>>
-EngineSnapshot::TryApproxSafeRegion(const Point& q) const {
-  WNRS_RETURN_IF_ERROR(core_->ValidateQuery(q));
-  WNRS_RETURN_IF_ERROR(core_->ValidateApproxStore());
-  return core_->ApproxSafeRegion(q);
-}
-Result<MwqResult> EngineSnapshot::TryModifyBoth(size_t c, const Point& q,
-                                                Semantics semantics) const {
-  WNRS_RETURN_IF_ERROR(core_->ValidateQuery(q));
-  WNRS_RETURN_IF_ERROR(core_->ValidateCustomer(c));
-  return core_->ModifyBoth(c, q, semantics);
-}
-Result<MwqResult> EngineSnapshot::TryModifyBothApprox(
-    size_t c, const Point& q, Semantics semantics) const {
-  WNRS_RETURN_IF_ERROR(core_->ValidateQuery(q));
-  WNRS_RETURN_IF_ERROR(core_->ValidateCustomer(c));
-  WNRS_RETURN_IF_ERROR(core_->ValidateApproxStore());
-  return core_->ModifyBothApprox(c, q, semantics);
-}
-Result<std::vector<MwqResult>> EngineSnapshot::TryModifyBothBatch(
-    const std::vector<size_t>& whos, const Point& q, bool use_approx,
-    Semantics semantics) const {
-  WNRS_RETURN_IF_ERROR(core_->ValidateQuery(q));
-  for (size_t c : whos) {
-    WNRS_RETURN_IF_ERROR(core_->ValidateCustomer(c));
-  }
-  if (use_approx) {
-    WNRS_RETURN_IF_ERROR(core_->ValidateApproxStore());
-  }
-  return core_->ModifyBothBatch(whos, q, use_approx, semantics);
+  return engine_core().ProductGlobalSkylineCandidates(q, exclude);
 }
 
 // ---------------------------------------------------------------------------
@@ -974,12 +395,15 @@ WhyNotEngine::WhyNotEngine(Dataset products, Dataset customers,
                            WhyNotEngineOptions options)
     : pool_(std::make_shared<ThreadPool>(options.num_threads)),
       core_(std::make_shared<const internal::EngineCore>(
-          std::move(products), std::move(customers), options, pool_)) {}
+          std::make_shared<const Dataset>(std::move(products)),
+          std::make_shared<const Dataset>(std::move(customers)), options,
+          pool_)) {}
 
 WhyNotEngine::WhyNotEngine(Dataset data, WhyNotEngineOptions options)
     : pool_(std::make_shared<ThreadPool>(options.num_threads)),
-      core_(std::make_shared<const internal::EngineCore>(std::move(data),
-                                                         options, pool_)) {}
+      core_(std::make_shared<const internal::EngineCore>(
+          std::make_shared<const Dataset>(std::move(data)), nullptr, options,
+          pool_)) {}
 
 WhyNotEngine::WhyNotEngine(RestoreBadge, std::shared_ptr<ThreadPool> pool,
                            std::shared_ptr<const internal::EngineCore> core)
@@ -1286,34 +710,51 @@ Result<std::vector<MwqResult>> WhyNotEngine::TryModifyBothBatch(
 
 void WhyNotEngine::PrecomputeApproxDsls(size_t k) {
   StatsScope scope(this);
-  WNRS_CHECK(k >= 2);
   MutexLock mlock(mutation_mu_);
   std::shared_ptr<const internal::EngineCore> cur = CurrentCore();
-  const Dataset& ds = cur->customer_dataset();
-  auto store =
-      std::make_shared<std::vector<std::vector<Point>>>(ds.points.size());
-  // One dynamic skyline per customer, each writing its own slot: the
-  // embarrassingly parallel offline pass of Section VI-B.1.
-  cur->pool->ParallelFor(0, ds.points.size(), [&](size_t c) {
-    const std::vector<RStarTree::Id> dsl =
-        cur->packed_tree != nullptr
-            ? BbsDynamicSkyline(*cur->packed_tree, ds.points[c],
-                                cur->ExcludeFor(c))
-            : BbsDynamicSkyline(*cur->tree, ds.points[c], cur->ExcludeFor(c));
-    std::vector<Point> transformed;
-    transformed.reserve(dsl.size());
-    for (RStarTree::Id id : dsl) {
-      transformed.push_back(ToDistanceSpace(
-          cur->products->points[static_cast<size_t>(id)], ds.points[c]));
-    }
-    (*store)[c] =
-        ApproximateSkyline(std::move(transformed), k, cur->options.sort_dim);
-  });
   auto next = std::make_shared<internal::EngineCore>(*cur);
-  next->approx_dsls = std::move(store);
+  next->approx_dsls = cur->BuildApproxStore(k);
   next->approx_k = k;
   PublishCore(std::move(next));
 }
+
+namespace {
+
+/// FNV-1a over the market an approx store is computed from: the relation
+/// mode, dims, k, sort_dim, each product's liveness and coordinates, and
+/// the customer coordinates when bichromatic. Nothing about tree layout,
+/// threads or the read path enters it, so a store saved by one engine
+/// loads into any engine over the same market (a reopened bundle
+/// included) and into no other.
+uint64_t ApproxStoreDigest(const internal::QueryCore& core, size_t k) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((word >> (8 * byte)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  };
+  auto mix_points = [&mix](const std::vector<Point>& points) {
+    for (const Point& p : points) {
+      for (size_t i = 0; i < p.dims(); ++i) {
+        mix(std::bit_cast<uint64_t>(p[i]));
+      }
+    }
+  };
+  mix(core.shared_relation ? 1 : 0);
+  mix(core.products->dims);
+  mix(k);
+  mix(core.options.sort_dim);
+  for (size_t id = 0; id < core.products->points.size(); ++id) {
+    mix(core.IsLiveProduct(id) ? 1 : 0);
+  }
+  mix_points(core.products->points);
+  if (!core.shared_relation) mix_points(core.customers->points);
+  return h;
+}
+
+constexpr int kApproxStoreVersion = 2;
+
+}  // namespace
 
 Status WhyNotEngine::SaveApproxDsls(const std::string& path) const {
   std::shared_ptr<const internal::EngineCore> cur = CurrentCore();
@@ -1323,8 +764,9 @@ Status WhyNotEngine::SaveApproxDsls(const std::string& path) const {
   const size_t dims = cur->products->dims;
   const std::vector<std::vector<Point>>& dsls = *cur->approx_dsls;
   std::ostringstream out;
-  out << "wnrs-approx-dsl 1\n"
-      << cur->approx_k << ' ' << dims << ' ' << dsls.size() << '\n';
+  out << "wnrs-approx-dsl " << kApproxStoreVersion << '\n'
+      << cur->approx_k << ' ' << dims << ' ' << dsls.size() << ' '
+      << ApproxStoreDigest(*cur, cur->approx_k) << '\n';
   for (const std::vector<Point>& dsl : dsls) {
     out << dsl.size();
     for (const Point& p : dsl) {
@@ -1346,8 +788,17 @@ Status WhyNotEngine::LoadApproxDsls(const std::string& path) {
   size_t k = 0;
   size_t dims = 0;
   size_t count = 0;
-  in >> magic >> version >> k >> dims >> count;
-  if (!in.good() || magic != "wnrs-approx-dsl" || version != 1) {
+  uint64_t digest = 0;
+  in >> magic >> version;
+  if (in.good() && magic == "wnrs-approx-dsl" && version == 1) {
+    return Status::InvalidArgument(
+        "[version] approx-DSL store version 1 is not bound to an engine "
+        "state; re-save it: " +
+        path);
+  }
+  in >> k >> dims >> count >> digest;
+  if (!in.good() || magic != "wnrs-approx-dsl" ||
+      version != kApproxStoreVersion) {
     return Status::InvalidArgument("not a wnrs approx-DSL store: " + path);
   }
   // PrecomputeApproxDsls enforces k >= 2 (the sampling rule needs a first
@@ -1398,6 +849,15 @@ Status WhyNotEngine::LoadApproxDsls(const std::string& path) {
       (*loaded)[c].push_back(std::move(p));
     }
   }
+  // Last: a store from another market state (one with other products,
+  // tombstones or customers) would break the approximated region's
+  // subset-of-SR(q) contract without failing any check above.
+  if (digest != ApproxStoreDigest(*cur, k)) {
+    return Status::InvalidArgument(
+        "[approx-stale] approx-DSL store was computed from another engine "
+        "state: " +
+        path);
+  }
   auto next = std::make_shared<internal::EngineCore>(*cur);
   next->approx_dsls = std::move(loaded);
   next->approx_k = k;
@@ -1408,41 +868,18 @@ Status WhyNotEngine::LoadApproxDsls(const std::string& path) {
 size_t WhyNotEngine::AddProduct(const Point& p) {
   MutexLock mlock(mutation_mu_);
   std::shared_ptr<const internal::EngineCore> cur = CurrentCore();
-  WNRS_CHECK(p.dims() == cur->products->dims);
-  auto new_products = std::make_shared<Dataset>(*cur->products);
-  const size_t id = new_products->points.size();
-  new_products->points.push_back(p);
+  auto next = std::make_shared<internal::EngineCore>(*cur);
+  const size_t id = next->AppendProduct(p);
   auto new_tree = std::make_shared<RStarTree>(cur->tree->Clone());
   new_tree->Insert(p, static_cast<RStarTree::Id>(id));
-  auto next = std::make_shared<internal::EngineCore>(*cur);
-  next->products = std::move(new_products);
-  next->tree = std::move(new_tree);
-  if (next->options.use_packed_read_path) {
-    next->packed_tree = std::make_shared<const PackedRTree>(
-        PackedRTree::Freeze(*next->tree));
-  }
-  next->removed.resize(id + 1, false);
-  // Keep the universe a superset of all live points; the cost model's
-  // normalization follows it when the new tuple falls outside.
-  if (!next->universe.Contains(p)) {
-    next->universe = next->universe.BoundingUnion(Rectangle::FromPoint(p));
-    next->cost_model = MakeCostModel(next->universe, next->options);
-  }
-  // The approximated-DSL store is a function of the product set; a stale
-  // store could silently lose safety, so it is dropped with the snapshot.
-  next->approx_dsls.reset();
-  next->approx_k = 0;
-  next->ParanoidCheckIndex();
+  next->ReplaceTree(std::move(new_tree));
   PublishCore(std::move(next));
   MetricSetGauge(GaugeId::kRslCacheSize, 0);
   return id;
 }
 
 Result<size_t> WhyNotEngine::TryAddProduct(const Point& p) {
-  {
-    std::shared_ptr<const internal::EngineCore> cur = CurrentCore();
-    WNRS_RETURN_IF_ERROR(cur->ValidatePoint(p, "product point"));
-  }
+  WNRS_RETURN_IF_ERROR(CurrentCore()->ValidatePoint(p, "product point"));
   return AddProduct(p);
 }
 
@@ -1453,37 +890,22 @@ bool WhyNotEngine::RemoveProduct(size_t id) {
 Status WhyNotEngine::TryRemoveProduct(size_t id) {
   MutexLock mlock(mutation_mu_);
   std::shared_ptr<const internal::EngineCore> cur = CurrentCore();
-  if (id >= cur->products->points.size()) {
-    return Status::NotFound(StrFormat("no product with id %zu", id));
-  }
-  if (id < cur->removed.size() && cur->removed[id]) {
-    return Status::NotFound(StrFormat("product %zu was already removed", id));
-  }
+  WNRS_RETURN_IF_ERROR(cur->ValidateRemovable(id));
   auto new_tree = std::make_shared<RStarTree>(cur->tree->Clone());
   if (!new_tree->Delete(Rectangle::FromPoint(cur->products->points[id]),
                         static_cast<RStarTree::Id>(id))) {
     return Status::NotFound(StrFormat("product %zu not present in index", id));
   }
   auto next = std::make_shared<internal::EngineCore>(*cur);
-  next->tree = std::move(new_tree);
-  if (next->options.use_packed_read_path) {
-    next->packed_tree = std::make_shared<const PackedRTree>(
-        PackedRTree::Freeze(*next->tree));
-  }
-  next->removed.resize(cur->products->points.size(), false);
-  next->removed[id] = true;
-  next->approx_dsls.reset();
-  next->approx_k = 0;
-  next->ParanoidCheckIndex();
+  next->MarkRemoved(id);
+  next->ReplaceTree(std::move(new_tree));
   PublishCore(std::move(next));
   MetricSetGauge(GaugeId::kRslCacheSize, 0);
   return Status::Ok();
 }
 
 bool WhyNotEngine::IsLiveProduct(size_t id) const {
-  std::shared_ptr<const internal::EngineCore> cur = CurrentCore();
-  if (id >= cur->products->points.size()) return false;
-  return id >= cur->removed.size() || !cur->removed[id];
+  return CurrentCore()->IsLiveProduct(id);
 }
 
 double WhyNotEngine::MqpEvaluationCost(const Point& q,

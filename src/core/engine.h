@@ -98,32 +98,25 @@ struct WhyNotEngineOptions {
 enum class Semantics { kBoundary, kStrict };
 
 namespace internal {
-/// Immutable engine state (datasets, R*-tree, cost model, approx-DSL
-/// store) plus its concurrency-safe derived caches. Defined in engine.cc.
+/// The engine-independent half of an engine state (core/query_core.h) and
+/// the single engine's state over its R*-tree (engine.cc).
+struct QueryCore;
 struct EngineCore;
 }  // namespace internal
 
-/// An immutable, concurrency-safe view of one engine state — the
-/// "session" handle of the serving API. Snapshots are cheap to copy
+/// The read API every snapshot kind shares — EngineSnapshot here and
+/// shard::ShardedSnapshot — over one immutable engine state: cheap to copy
 /// (one shared_ptr), safe to use from any number of threads at once, and
 /// unaffected by later engine mutations: a snapshot taken before
 /// AddProduct keeps answering against the old market until it is
 /// dropped. All query results are bit-identical to the serial engine
 /// facade.
-///
-/// Obtain one with WhyNotEngine::Snapshot(); it may outlive the engine.
-class EngineSnapshot {
+class QuerySession {
  public:
-  EngineSnapshot(const EngineSnapshot&) = default;
-  EngineSnapshot& operator=(const EngineSnapshot&) = default;
-  EngineSnapshot(EngineSnapshot&&) noexcept = default;
-  EngineSnapshot& operator=(EngineSnapshot&&) noexcept = default;
-
   const Dataset& products() const;
   const Dataset& customers() const;
   bool shared_relation() const;
   const CostModel& cost_model() const;
-  const RStarTree& product_tree() const;
   const Rectangle& universe() const;
   bool HasApproxDsls() const;
   size_t approx_k() const;
@@ -132,7 +125,6 @@ class EngineSnapshot {
   /// RSL(q) as customer indices (ascending); memoized per query point.
   std::vector<size_t> ReverseSkyline(const Point& q) const;
   bool IsReverseSkylineMember(size_t c, const Point& q) const;
-  std::vector<size_t> CustomersInRange(const Rectangle& window) const;
   WhyNotExplanation Explain(size_t c, const Point& q) const;
   MwpResult ModifyWhyNot(size_t c, const Point& q,
                          Semantics semantics = Semantics::kBoundary) const;
@@ -145,47 +137,13 @@ class EngineSnapshot {
   std::shared_ptr<const SafeRegionResult> SafeRegion(const Point& q) const;
   std::shared_ptr<const SafeRegionResult> ApproxSafeRegion(
       const Point& q) const;
-  SafeRegionResult ConstrainedSafeRegion(const Point& q,
-                                         const Rectangle& limits) const;
-
   MwqResult ModifyBoth(size_t c, const Point& q,
                        Semantics semantics = Semantics::kBoundary) const;
   MwqResult ModifyBothApprox(size_t c, const Point& q,
                              Semantics semantics = Semantics::kBoundary) const;
-  MwqResult ModifyBothConstrained(
-      size_t c, const Point& q, const Rectangle& limits,
-      Semantics semantics = Semantics::kBoundary) const;
-  std::vector<size_t> LostCustomers(const Point& q, const Point& q_star) const;
   std::vector<MwqResult> ModifyBothBatch(
       const std::vector<size_t>& whos, const Point& q, bool use_approx = false,
       Semantics semantics = Semantics::kBoundary) const;
-  double MqpEvaluationCost(const Point& q, const Point& q_star) const;
-  std::optional<Point> NudgeToStrictMember(const Point& c_star, const Point& q,
-                                           size_t customer_index) const;
-
-  /// Low-level shard probes (src/shard): each dispatches packed-vs-dynamic
-  /// exactly like the corresponding full-query call site, and each returns
-  /// a canonical ordering (ascending ids for window hits and frontiers),
-  /// so a sharded union of per-shard results merges bit-identically to a
-  /// single-index run. `exclude` is the raw tree id to skip (the sharded
-  /// caller maps the customer's own tuple to its shard-local id).
-  bool ProbeWindowEmpty(const Point& c, const Point& q,
-                        std::optional<RStarTree::Id> exclude) const;
-  std::vector<RStarTree::Id> ProbeWindowHits(
-      const Point& c, const Point& q,
-      std::optional<RStarTree::Id> exclude) const;
-  std::vector<RStarTree::Id> ProbeWindowFrontier(
-      const Point& c, const Point& q, const Point& origin,
-      std::optional<RStarTree::Id> exclude) const;
-  std::vector<RStarTree::Id> ProbeDynamicSkyline(
-      const Point& c, std::optional<RStarTree::Id> exclude) const;
-  /// BBRS candidate generation only — the global (quadrant-aware) skyline
-  /// of this snapshot's products w.r.t. `q`, without the per-candidate
-  /// window verification. A sharded coordinator merges these across
-  /// shards (the global skyline of a union is the dominance filter of the
-  /// per-part global skylines) and verifies each survivor exactly once.
-  std::vector<RStarTree::Id> ProbeGlobalSkylineCandidates(
-      const Point& q, std::optional<RStarTree::Id> exclude) const;
 
   /// Validating (non-aborting) variants: every bad input that would trip
   /// a WNRS_CHECK in the methods above — out-of-range or removed
@@ -214,12 +172,58 @@ class EngineSnapshot {
       const std::vector<size_t>& whos, const Point& q, bool use_approx = false,
       Semantics semantics = Semantics::kBoundary) const;
 
+ protected:
+  explicit QuerySession(std::shared_ptr<const internal::QueryCore> core);
+
+  std::shared_ptr<const internal::QueryCore> core_;
+};
+
+/// The single engine's session handle: the shared read API plus the
+/// calls that need its one R*-tree. Obtain one with
+/// WhyNotEngine::Snapshot(); it may outlive the engine.
+class EngineSnapshot : public QuerySession {
+ public:
+  const RStarTree& product_tree() const;
+  std::vector<size_t> CustomersInRange(const Rectangle& window) const;
+  SafeRegionResult ConstrainedSafeRegion(const Point& q,
+                                         const Rectangle& limits) const;
+  MwqResult ModifyBothConstrained(
+      size_t c, const Point& q, const Rectangle& limits,
+      Semantics semantics = Semantics::kBoundary) const;
+  std::vector<size_t> LostCustomers(const Point& q, const Point& q_star) const;
+  double MqpEvaluationCost(const Point& q, const Point& q_star) const;
+  std::optional<Point> NudgeToStrictMember(const Point& c_star, const Point& q,
+                                           size_t customer_index) const;
+
+  /// Low-level shard probes (src/shard): each dispatches packed-vs-dynamic
+  /// exactly like the corresponding full-query call site, and each returns
+  /// a canonical ordering (ascending ids for window hits and frontiers),
+  /// so a sharded union of per-shard results merges bit-identically to a
+  /// single-index run. `exclude` is the raw tree id to skip (the sharded
+  /// caller maps the customer's own tuple to its shard-local id).
+  bool ProbeWindowEmpty(const Point& c, const Point& q,
+                        std::optional<RStarTree::Id> exclude) const;
+  std::vector<RStarTree::Id> ProbeWindowHits(
+      const Point& c, const Point& q,
+      std::optional<RStarTree::Id> exclude) const;
+  std::vector<RStarTree::Id> ProbeWindowFrontier(
+      const Point& c, const Point& q, const Point& origin,
+      std::optional<RStarTree::Id> exclude) const;
+  std::vector<RStarTree::Id> ProbeDynamicSkyline(
+      const Point& c, std::optional<RStarTree::Id> exclude) const;
+  /// BBRS candidate generation only — the global (quadrant-aware) skyline
+  /// of this snapshot's products w.r.t. `q`, without the per-candidate
+  /// window verification. A sharded coordinator merges these across
+  /// shards (the global skyline of a union is the dominance filter of the
+  /// per-part global skylines) and verifies each survivor exactly once.
+  std::vector<RStarTree::Id> ProbeGlobalSkylineCandidates(
+      const Point& q, std::optional<RStarTree::Id> exclude) const;
+
  private:
   friend class WhyNotEngine;
-  explicit EngineSnapshot(std::shared_ptr<const internal::EngineCore> core)
-      : core_(std::move(core)) {}
+  explicit EngineSnapshot(std::shared_ptr<const internal::EngineCore> core);
 
-  std::shared_ptr<const internal::EngineCore> core_;
+  const internal::EngineCore& engine_core() const;
 };
 
 /// Facade over the full why-not pipeline of the paper: reverse skylines
@@ -421,12 +425,20 @@ class WhyNotEngine {
   size_t approx_k() const;
 
   /// Persists the precomputed store (the paper precomputes it "off-line");
-  /// a saved store can be reloaded into an engine over the same datasets,
-  /// skipping the PrecomputeApproxDsls pass on startup.
+  /// a saved store can be reloaded into an engine over the same market
+  /// state — this engine, a copy built from the same datasets, or its
+  /// Save/Open copy — skipping the PrecomputeApproxDsls pass on startup.
+  /// The header carries a digest of that state: the relation mode, dims,
+  /// k, sort_dim, each product's liveness and coordinates, and the
+  /// customer coordinates.
   Status SaveApproxDsls(const std::string& path) const;
 
-  /// Loads a store written by SaveApproxDsls. Fails if the entry count
-  /// does not match this engine's customer count.
+  /// Loads a store written by SaveApproxDsls. Fails on a malformed store,
+  /// a k, dimensionality or customer count that does not fit, and — with
+  /// [approx-stale] — a store computed from another market state (say,
+  /// before an AddProduct or RemoveProduct), whose approximated regions
+  /// could otherwise leave the exact safe region. Version-1 stores carry
+  /// no digest and are refused with [version].
   Status LoadApproxDsls(const std::string& path);
 
   /// Appends a product to the market (copy-on-write R*-tree insert and

@@ -584,6 +584,34 @@ struct CheckContext {
   size_t data_entries = 0;
 };
 
+/// True iff `mbr` equals the Rectangle::BoundingUnion fold of the
+/// children's MBRs, computed in place one dimension at a time. The fold
+/// keeps its other operand when one side is empty, so it starts at the
+/// first non-empty child (the last child when all are empty) and skips
+/// the empty ones after it.
+bool MbrBoundsChildren(const Rectangle& mbr,
+                       const std::vector<RStarTree::Entry>& children) {
+  for (const RStarTree::Entry& c : children) {
+    if (c.mbr.dims() != mbr.dims()) return false;
+  }
+  size_t first = 0;
+  while (first + 1 < children.size() && children[first].mbr.IsEmpty()) {
+    ++first;
+  }
+  for (size_t i = 0; i < mbr.dims(); ++i) {
+    double lo = children[first].mbr.lo()[i];
+    double hi = children[first].mbr.hi()[i];
+    for (size_t j = first + 1; j < children.size(); ++j) {
+      const Rectangle& r = children[j].mbr;
+      if (r.IsEmpty()) continue;
+      lo = std::min(lo, r.lo()[i]);
+      hi = std::max(hi, r.hi()[i]);
+    }
+    if (!(mbr.lo()[i] == lo && mbr.hi()[i] == hi)) return false;
+  }
+  return true;
+}
+
 Status CheckNode(const RStarTree::Node* node, const RStarTree::Node* parent,
                  size_t depth, size_t min_entries, size_t max_entries,
                  bool is_root, CheckContext* ctx) {
@@ -614,14 +642,7 @@ Status CheckNode(const RStarTree::Node* node, const RStarTree::Node* parent,
     if (e.child == nullptr || e.child->entries.empty()) {
       return Status::Internal("internal entry without a non-empty child");
     }
-    const Rectangle child_mbr = [&] {
-      Rectangle mbr = e.child->entries.front().mbr;
-      for (size_t i = 1; i < e.child->entries.size(); ++i) {
-        mbr = mbr.BoundingUnion(e.child->entries[i].mbr);
-      }
-      return mbr;
-    }();
-    if (!(e.mbr == child_mbr)) {
+    if (!MbrBoundsChildren(e.mbr, e.child->entries)) {
       return Status::Internal("stale parent MBR");
     }
     WNRS_RETURN_IF_ERROR(CheckNode(e.child, node, depth + 1, min_entries,

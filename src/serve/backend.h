@@ -44,6 +44,11 @@ class QuerySnapshot {
       Semantics semantics) const = 0;
 };
 
+/// The QuerySnapshot of either backend: delegates every call to a pinned
+/// session (an EngineSnapshot or a shard::ShardedSnapshot), which keeps
+/// its engine state alive for the snapshot's lifetime.
+std::shared_ptr<const QuerySnapshot> MakeQuerySnapshot(QuerySession session);
+
 /// A query execution engine the serving stack schedules onto: anything
 /// that can publish consistent snapshots of the seven request kinds. The
 /// single-core WhyNotEngine (EngineBackend below) and the sharded engine

@@ -195,76 +195,40 @@ WhyNotResponse RequestScheduler::ExecuteOne(
     const QuerySnapshot& snapshot, const WhyNotRequest& request) const {
   WhyNotResponse response;
   response.kind = request.kind;
+  // Every kind books its Result the same way: the status always, the
+  // payload only when it was computed.
+  auto take = [&response](auto result) {
+    response.status = result.status();
+    if (result.ok()) {
+      response.payload = std::move(result).value();
+      response.completed = true;
+    }
+  };
+  const Point& q = request.q;
+  const size_t c = request.c;
+  const Semantics semantics = request.semantics;
   switch (request.kind) {
-    case RequestKind::kReverseSkyline: {
-      Result<std::vector<size_t>> res = snapshot.TryReverseSkyline(request.q);
-      response.status = res.status();
-      if (res.ok()) {
-        response.payload = std::move(res).value();
-        response.completed = true;
-      }
+    case RequestKind::kReverseSkyline:
+      take(snapshot.TryReverseSkyline(q));
       break;
-    }
-    case RequestKind::kExplain: {
-      Result<WhyNotExplanation> res =
-          snapshot.TryExplain(request.c, request.q);
-      response.status = res.status();
-      if (res.ok()) {
-        response.payload = std::move(res).value();
-        response.completed = true;
-      }
+    case RequestKind::kExplain:
+      take(snapshot.TryExplain(c, q));
       break;
-    }
-    case RequestKind::kModifyWhyNot: {
-      Result<MwpResult> res =
-          snapshot.TryModifyWhyNot(request.c, request.q, request.semantics);
-      response.status = res.status();
-      if (res.ok()) {
-        response.payload = std::move(res).value();
-        response.completed = true;
-      }
+    case RequestKind::kModifyWhyNot:
+      take(snapshot.TryModifyWhyNot(c, q, semantics));
       break;
-    }
-    case RequestKind::kModifyQuery: {
-      Result<MqpResult> res =
-          snapshot.TryModifyQuery(request.c, request.q, request.semantics);
-      response.status = res.status();
-      if (res.ok()) {
-        response.payload = std::move(res).value();
-        response.completed = true;
-      }
+    case RequestKind::kModifyQuery:
+      take(snapshot.TryModifyQuery(c, q, semantics));
       break;
-    }
-    case RequestKind::kSafeRegion: {
-      Result<std::shared_ptr<const SafeRegionResult>> res =
-          snapshot.TrySafeRegion(request.q);
-      response.status = res.status();
-      if (res.ok()) {
-        response.payload = std::move(res).value();
-        response.completed = true;
-      }
+    case RequestKind::kSafeRegion:
+      take(snapshot.TrySafeRegion(q));
       break;
-    }
-    case RequestKind::kModifyBoth: {
-      Result<MwqResult> res =
-          snapshot.TryModifyBoth(request.c, request.q, request.semantics);
-      response.status = res.status();
-      if (res.ok()) {
-        response.payload = std::move(res).value();
-        response.completed = true;
-      }
+    case RequestKind::kModifyBoth:
+      take(snapshot.TryModifyBoth(c, q, semantics));
       break;
-    }
-    case RequestKind::kModifyBothApprox: {
-      Result<MwqResult> res = snapshot.TryModifyBothApprox(
-          request.c, request.q, request.semantics);
-      response.status = res.status();
-      if (res.ok()) {
-        response.payload = std::move(res).value();
-        response.completed = true;
-      }
+    case RequestKind::kModifyBothApprox:
+      take(snapshot.TryModifyBothApprox(c, q, semantics));
       break;
-    }
   }
   return response;
 }

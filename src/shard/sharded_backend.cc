@@ -1,70 +1,16 @@
 #include "shard/sharded_backend.h"
 
-#include <utility>
-#include <vector>
-
 #include "common/logging.h"
 
 namespace wnrs {
 namespace shard {
-
-namespace {
-
-/// QuerySnapshot over one pinned ShardedSnapshot: pure delegation onto
-/// the snapshot's Try* layer.
-class ShardedQuerySnapshot final : public serve::QuerySnapshot {
- public:
-  explicit ShardedQuerySnapshot(ShardedSnapshot snapshot)
-      : snapshot_(std::move(snapshot)) {}
-
-  Result<std::vector<size_t>> TryReverseSkyline(const Point& q) const override {
-    return snapshot_.TryReverseSkyline(q);
-  }
-  Result<WhyNotExplanation> TryExplain(size_t c, const Point& q) const override {
-    return snapshot_.TryExplain(c, q);
-  }
-  Result<MwpResult> TryModifyWhyNot(size_t c, const Point& q,
-                                    Semantics semantics) const override {
-    return snapshot_.TryModifyWhyNot(c, q, semantics);
-  }
-  Result<MqpResult> TryModifyQuery(size_t c, const Point& q,
-                                   Semantics semantics) const override {
-    return snapshot_.TryModifyQuery(c, q, semantics);
-  }
-  Result<std::shared_ptr<const SafeRegionResult>> TrySafeRegion(
-      const Point& q) const override {
-    return snapshot_.TrySafeRegion(q);
-  }
-  Result<std::shared_ptr<const SafeRegionResult>> TryApproxSafeRegion(
-      const Point& q) const override {
-    return snapshot_.TryApproxSafeRegion(q);
-  }
-  Result<MwqResult> TryModifyBoth(size_t c, const Point& q,
-                                  Semantics semantics) const override {
-    return snapshot_.TryModifyBoth(c, q, semantics);
-  }
-  Result<MwqResult> TryModifyBothApprox(size_t c, const Point& q,
-                                        Semantics semantics) const override {
-    return snapshot_.TryModifyBothApprox(c, q, semantics);
-  }
-  Result<std::vector<MwqResult>> TryModifyBothBatch(
-      const std::vector<size_t>& whos, const Point& q, bool use_approx,
-      Semantics semantics) const override {
-    return snapshot_.TryModifyBothBatch(whos, q, use_approx, semantics);
-  }
-
- private:
-  ShardedSnapshot snapshot_;
-};
-
-}  // namespace
 
 ShardedBackend::ShardedBackend(const ShardedEngine* engine) : engine_(engine) {
   WNRS_CHECK(engine != nullptr);
 }
 
 std::shared_ptr<const serve::QuerySnapshot> ShardedBackend::Snapshot() const {
-  return std::make_shared<ShardedQuerySnapshot>(engine_->Snapshot());
+  return serve::MakeQuerySnapshot(engine_->Snapshot());
 }
 
 }  // namespace shard

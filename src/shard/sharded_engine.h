@@ -19,7 +19,9 @@ namespace shard {
 /// packed read path, ...); its num_threads sizes the *coordinator* pool —
 /// every shard engine runs with num_threads = 1, so shard-internal loops
 /// degrade serial under the coordinator's fan-out instead of
-/// oversubscribing.
+/// oversubscribing. Its paranoid_checks reaches the shard engines, which
+/// check their own trees and re-prove their own answers; the coordinator
+/// holds no global tree and re-proves no merged answer.
 struct ShardedEngineOptions {
   /// Requested shard count; clamped to the product count (StrTiles never
   /// produces an empty tile). 1 shard is the degenerate single-engine
@@ -29,85 +31,26 @@ struct ShardedEngineOptions {
 };
 
 namespace internal {
-/// Immutable coordinator state (global catalog, shard snapshots, routing
-/// maps, caches). Defined in sharded_engine.cc.
+/// The coordinator's state: the shared query core over the tiles, plus
+/// routing tables and per-shard snapshots. Defined in sharded_engine.cc.
 struct ShardState;
 }  // namespace internal
 
 /// An immutable, concurrency-safe view of one sharded-engine state: the
-/// sharded counterpart of EngineSnapshot. Cheap to copy (one shared_ptr);
-/// pins every per-shard engine core, so it stays valid across mutations
-/// and may outlive the ShardedEngine.
+/// shared read API of QuerySession, answered across the tiles. Cheap to
+/// copy (one shared_ptr); pins every per-shard engine core, so it stays
+/// valid across mutations and may outlive the ShardedEngine.
 ///
 /// Every query merges per-shard answers into the exact result the
 /// single-core engine would produce — same values, same ordering, same
 /// error strings (see DESIGN.md §15 for the per-kind merge arguments).
-class ShardedSnapshot {
+class ShardedSnapshot : public QuerySession {
  public:
-  ShardedSnapshot(const ShardedSnapshot&) = default;
-  ShardedSnapshot& operator=(const ShardedSnapshot&) = default;
-  ShardedSnapshot(ShardedSnapshot&&) noexcept = default;
-  ShardedSnapshot& operator=(ShardedSnapshot&&) noexcept = default;
-
-  const Dataset& products() const;
-  const Dataset& customers() const;
-  bool shared_relation() const;
-  const CostModel& cost_model() const;
-  const Rectangle& universe() const;
   size_t num_shards() const;
-  bool HasApproxDsls() const;
-  size_t approx_k() const;
-  bool IsLiveProduct(size_t id) const;
-
-  /// RSL(q) as customer indices (ascending); memoized per query point.
-  std::vector<size_t> ReverseSkyline(const Point& q) const;
-  bool IsReverseSkylineMember(size_t c, const Point& q) const;
-  WhyNotExplanation Explain(size_t c, const Point& q) const;
-  MwpResult ModifyWhyNot(size_t c, const Point& q,
-                         Semantics semantics = Semantics::kBoundary) const;
-  MqpResult ModifyQuery(size_t c, const Point& q,
-                        Semantics semantics = Semantics::kBoundary) const;
-  std::shared_ptr<const SafeRegionResult> SafeRegion(const Point& q) const;
-  std::shared_ptr<const SafeRegionResult> ApproxSafeRegion(
-      const Point& q) const;
-  MwqResult ModifyBoth(size_t c, const Point& q,
-                       Semantics semantics = Semantics::kBoundary) const;
-  MwqResult ModifyBothApprox(size_t c, const Point& q,
-                             Semantics semantics = Semantics::kBoundary) const;
-  std::vector<MwqResult> ModifyBothBatch(
-      const std::vector<size_t>& whos, const Point& q, bool use_approx = false,
-      Semantics semantics = Semantics::kBoundary) const;
-
-  /// Validating variants, mirroring EngineSnapshot's Try* layer: same
-  /// checks, same Status codes, same messages.
-  Result<std::vector<size_t>> TryReverseSkyline(const Point& q) const;
-  Result<WhyNotExplanation> TryExplain(size_t c, const Point& q) const;
-  Result<MwpResult> TryModifyWhyNot(
-      size_t c, const Point& q,
-      Semantics semantics = Semantics::kBoundary) const;
-  Result<MqpResult> TryModifyQuery(
-      size_t c, const Point& q,
-      Semantics semantics = Semantics::kBoundary) const;
-  Result<std::shared_ptr<const SafeRegionResult>> TrySafeRegion(
-      const Point& q) const;
-  Result<std::shared_ptr<const SafeRegionResult>> TryApproxSafeRegion(
-      const Point& q) const;
-  Result<MwqResult> TryModifyBoth(
-      size_t c, const Point& q,
-      Semantics semantics = Semantics::kBoundary) const;
-  Result<MwqResult> TryModifyBothApprox(
-      size_t c, const Point& q,
-      Semantics semantics = Semantics::kBoundary) const;
-  Result<std::vector<MwqResult>> TryModifyBothBatch(
-      const std::vector<size_t>& whos, const Point& q, bool use_approx = false,
-      Semantics semantics = Semantics::kBoundary) const;
 
  private:
   friend class ShardedEngine;
-  explicit ShardedSnapshot(std::shared_ptr<const internal::ShardState> state)
-      : state_(std::move(state)) {}
-
-  std::shared_ptr<const internal::ShardState> state_;
+  explicit ShardedSnapshot(std::shared_ptr<const internal::ShardState> state);
 };
 
 /// The why-not engine over an STR-tiled product catalog: the product set
@@ -132,9 +75,12 @@ class ShardedSnapshot {
 ///    cross-shard merges plugged into ComputeSafeRegionWithDsls, and
 ///    Algorithm 4 runs over MwqPrimitives whose probes fan out per shard.
 ///
-/// Each merge reproduces the single-core answer bit-for-bit (values and
-/// ordering); tests/sharded_engine_test.cc asserts this differentially
-/// for all seven request kinds at several shard counts.
+/// Only these index probes differ from the single engine: caching,
+/// validation, the strict passes and every request kind above them are
+/// the single engine's own code (core/query_core.h). Each merge
+/// reproduces the single-core answer bit-for-bit (values and ordering);
+/// tests/sharded_engine_test.cc asserts this differentially for all
+/// seven request kinds at several shard counts.
 ///
 /// Concurrency contract matches WhyNotEngine: the read path is safe for
 /// concurrent callers, mutations are serialized and publish a new
@@ -228,6 +174,11 @@ class ShardedEngine {
   size_t approx_k() const;
 
  private:
+  /// Both public constructors: `customers` null selects the shared
+  /// relation.
+  ShardedEngine(Dataset products, std::shared_ptr<const Dataset> customers,
+                ShardedEngineOptions options);
+
   std::shared_ptr<const internal::ShardState> CurrentState() const;
   void PublishState(std::shared_ptr<const internal::ShardState> state);
 

@@ -321,8 +321,9 @@ TEST(EngineTest, LoadApproxDslsRejectsKBelowTwo) {
   const std::string path = ::testing::TempDir() + "/approx_store_k0.txt";
   {
     std::ofstream out(path, std::ios::trunc);
-    // A store claiming k=0 over 3 customers with one 2-D point each.
-    out << "wnrs-approx-dsl 1\n0 2 3\n";
+    // A store claiming k=0 over 3 customers with one 2-D point each; the
+    // k check runs before the engine-state digest (here 0) is compared.
+    out << "wnrs-approx-dsl 2\n0 2 3 0\n";
     out << "1 0.5 0.5\n1 0.25 0.75\n1 0.75 0.25\n";
   }
   const Status status = engine.LoadApproxDsls(path);
@@ -338,12 +339,67 @@ TEST(EngineTest, LoadApproxDslsRejectsNonFiniteCoordinates) {
   const std::string path = ::testing::TempDir() + "/approx_store_nan.txt";
   {
     std::ofstream out(path, std::ios::trunc);
-    out << "wnrs-approx-dsl 1\n5 2 2\n";
+    // The finite check runs before the engine-state digest (here 0).
+    out << "wnrs-approx-dsl 2\n5 2 2 0\n";
     out << "1 0.5 nan\n1 0.25 0.75\n";
   }
   const Status status = engine.LoadApproxDsls(path);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("non-finite"), std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(engine.HasApproxDsls());
+  std::remove(path.c_str());
+}
+
+// ---- The approx store is bound to the market state it was computed from.
+
+TEST(EngineTest, LoadApproxDslsRefusesStoreFromBeforeBichromaticAdds) {
+  // Bichromatic AddProduct leaves the customer count unchanged, so only
+  // the engine-state digest can tell the stale store apart.
+  const Dataset products = GenerateUniform(400, 2, 111);
+  const Dataset customers = GenerateUniform(150, 2, 112);
+  WhyNotEngine engine(products, customers);
+  engine.PrecomputeApproxDsls(5);
+  const std::string path = ::testing::TempDir() + "/approx_stale_bi.txt";
+  ASSERT_TRUE(engine.SaveApproxDsls(path).ok());
+  ASSERT_TRUE(engine.LoadApproxDsls(path).ok());
+  for (int i = 0; i < 3; ++i) {
+    // wnrs-lint: allow-discard(the new id is not needed)
+    (void)engine.AddProduct(Point({0.1 * i + 0.05, 0.5}));
+  }
+  const Status status = engine.LoadApproxDsls(path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("[approx-stale]"), std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(engine.HasApproxDsls());
+  std::remove(path.c_str());
+}
+
+TEST(EngineTest, LoadApproxDslsRefusesStoreFromBeforeRemoval) {
+  // A removal tombstones its slot, so the customer count stays as it was.
+  WhyNotEngine engine(GenerateCarDb(300, 113));
+  engine.PrecomputeApproxDsls(5);
+  const std::string path = ::testing::TempDir() + "/approx_stale_rm.txt";
+  ASSERT_TRUE(engine.SaveApproxDsls(path).ok());
+  ASSERT_TRUE(engine.RemoveProduct(42));
+  const Status status = engine.LoadApproxDsls(path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("[approx-stale]"), std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(engine.HasApproxDsls());
+  std::remove(path.c_str());
+}
+
+TEST(EngineTest, LoadApproxDslsRefusesVersionOneStore) {
+  WhyNotEngine engine(GenerateCarDb(2, 114));
+  const std::string path = ::testing::TempDir() + "/approx_store_v1.txt";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "wnrs-approx-dsl 1\n5 2 2\n1 0.5 0.5\n1 0.25 0.75\n";
+  }
+  const Status status = engine.LoadApproxDsls(path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("[version]"), std::string::npos)
       << status.ToString();
   EXPECT_FALSE(engine.HasApproxDsls());
   std::remove(path.c_str());

@@ -9,9 +9,12 @@
 #include "common/random.h"
 #include "core/engine.h"
 #include "data/generators.h"
+#include "index/packed_rtree.h"
+#include "index/validate.h"
 #include "storage/crc32.h"
 #include "storage/engine_store.h"
 #include "storage/file_io.h"
+#include "storage/packed_slab.h"
 
 namespace wnrs {
 namespace {
@@ -164,6 +167,38 @@ TEST_F(PersistenceTest, MutatedEngineRoundTripsTombstonesAndUniverse) {
   // The reopened engine keeps mutating correctly.
   ASSERT_TRUE((*reopened)->TryRemoveProduct(2000).ok());
   EXPECT_FALSE((*reopened)->IsLiveProduct(2000));
+}
+
+// The approx store's engine-state digest covers market data only, so a
+// store saved by an engine loads into that engine's reopened bundle —
+// mutations, tombstones and a widened universe included.
+TEST_F(PersistenceTest, ApproxStoreLoadsIntoReopenedEngine) {
+  WhyNotEngine original(GenerateCarDb(800, 306), WhyNotEngineOptions{});
+  ASSERT_TRUE(original.RemoveProduct(17));
+  // wnrs-lint: allow-discard(the new id is not needed)
+  (void)original.AddProduct(Point({99000.0, 500000.0}));
+  original.PrecomputeApproxDsls(6);
+  const std::string dir = Dir("approx");
+  ASSERT_TRUE(original.Save(dir).ok());
+  const std::string store = ::testing::TempDir() + "/approx_reopen.txt";
+  ASSERT_TRUE(original.SaveApproxDsls(store).ok());
+
+  WhyNotEngineOptions all_dynamic;
+  all_dynamic.use_packed_read_path = false;
+  all_dynamic.num_threads = 1;
+  Result<std::unique_ptr<WhyNotEngine>> reopened =
+      WhyNotEngine::Open(dir, all_dynamic);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const Status loaded = (*reopened)->LoadApproxDsls(store);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ((*reopened)->approx_k(), 6u);
+  for (const Point& q : CarDbQueries()) {
+    const MwqResult a = original.ModifyBothApprox(3, q);
+    const MwqResult b = (*reopened)->ModifyBothApprox(3, q);
+    EXPECT_EQ(a.best_cost, b.best_cost);
+    ExpectCandidatesIdentical(a.query_candidates, b.query_candidates);
+  }
+  std::remove(store.c_str());
 }
 
 TEST_F(PersistenceTest, AllDynamicEngineBundleReopensOnBothPaths) {
@@ -340,6 +375,62 @@ TEST_F(PersistenceTest, RejectsSlabFromAnotherEngineState) {
   ASSERT_TRUE(lost_b.Save(dir_b).ok());
   CopySlab(dir_a, dir_b);
   ExpectOpenRefused(dir_b, "[packed-parity]");
+}
+
+// An internal entry whose MBR still contains its child but is wider than
+// the child's bounding box passes ValidatePacked (containment only); the
+// thaw's stale-MBR check must refuse it, and with it the bundle.
+TEST_F(PersistenceTest, RejectsInflatedInternalMbr) {
+  const Dataset ds = GenerateUniform(2000, 2, 312);
+  const WhyNotEngine engine(ds, WhyNotEngineOptions{});
+  const std::string dir = Dir("inflated");
+  ASSERT_TRUE(engine.Save(dir).ok());
+  const std::string slab_path = dir + "/" + storage::kBundlePackedFile;
+
+  // Locate the root's first entry in the file: a mapped slab aliases the
+  // file, and its node arena starts at byte 128.
+  size_t offset = 0;
+  double lo = 0.0;
+  {
+    Result<PackedRTree> slab = storage::OpenPackedMapped(slab_path);
+    ASSERT_TRUE(slab.ok()) << slab.status().ToString();
+    const PackedRTree::Node& root = slab->node(slab->root());
+    ASSERT_EQ(root.is_leaf, 0u) << "need an internal root";
+    const auto* nodes = reinterpret_cast<const char*>(slab->nodes_data());
+    const auto* lo0 = reinterpret_cast<const char*>(
+        slab->planes_data() + root.first_entry);  // The lo_0 plane.
+    offset = 128 + static_cast<size_t>(lo0 - nodes);
+    lo = slab->entry_lo(root.first_entry, 0);
+  }
+  std::string bytes;
+  ASSERT_TRUE(storage::ReadFileToString(slab_path, &bytes).ok());
+  double stored = 0.0;
+  std::memcpy(&stored, bytes.data() + offset, sizeof(stored));
+  ASSERT_EQ(stored, lo);
+  const double inflated = lo - 1.0;
+  std::memcpy(bytes.data() + offset, &inflated, sizeof(inflated));
+  ASSERT_TRUE(storage::WriteStringToFile(slab_path, bytes).ok());
+
+  // The section CRC would catch the edit first; skip it, as
+  // EngineStorageOptions::verify_checksums = false does.
+  Result<PackedRTree> slab =
+      storage::OpenPackedMapped(slab_path, /*verify_checksums=*/false);
+  ASSERT_TRUE(slab.ok()) << slab.status().ToString();
+  EXPECT_TRUE(ValidatePacked(*slab).ok());
+  Result<RStarTree> thawed = slab->Thaw(engine.product_tree().options());
+  ASSERT_FALSE(thawed.ok());
+  EXPECT_NE(thawed.status().message().find("[tree-shape]"), std::string::npos)
+      << thawed.status().ToString();
+  EXPECT_NE(thawed.status().message().find("stale parent MBR"),
+            std::string::npos)
+      << thawed.status().ToString();
+
+  WhyNotEngineOptions options;
+  options.storage.verify_checksums = false;
+  Result<std::unique_ptr<WhyNotEngine>> r = WhyNotEngine::Open(dir, options);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("[tree-shape]"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST_F(PersistenceTest, RejectsVersionOneBundle) {

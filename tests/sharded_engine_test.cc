@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "core/engine.h"
 #include "data/generators.h"
@@ -410,21 +411,92 @@ TEST(ShardErrorTest, TryLayerMatchesSingleEngineStatusStrings) {
   }
 }
 
-// The serve-layer adapter answers through the same Try* layer.
+template <typename T>
+T ValueOrFail(Result<T> result) {
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? std::move(result).value() : T();
+}
+
+// The one serve adapter answers every Try* call exactly as the session it
+// wraps does, for both backends.
 TEST(ShardBackendTest, BackendSnapshotMatchesEngine) {
   const Dataset ds = GenerateCarDb(60, 4);
+  WhyNotEngine single{Dataset(ds)};
+  single.PrecomputeApproxDsls(4);
   ShardedEngineOptions options;
   options.num_shards = 4;
   ShardedEngine shd{Dataset(ds), options};
-  const ShardedBackend backend(&shd);
-  const auto snapshot = backend.Snapshot();
+  shd.PrecomputeApproxDsls(4);
   const Point q = ds.points[7];
-  const auto got = snapshot->TryReverseSkyline(q);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value(), shd.ReverseSkyline(q));
-  const auto mwq = snapshot->TryModifyBoth(5, q, Semantics::kBoundary);
-  ASSERT_TRUE(mwq.ok());
-  ExpectMwqEq(mwq.value(), shd.ModifyBoth(5, q));
+  const size_t c = 5;
+  const std::vector<size_t> whos = {5, 11, 23};
+  auto expect_matches = [&](const serve::QueryBackend& backend,
+                            const QuerySession& direct) {
+    const auto snapshot = backend.Snapshot();
+    EXPECT_EQ(ValueOrFail(snapshot->TryReverseSkyline(q)),
+              direct.ReverseSkyline(q));
+    ExpectExplanationEq(ValueOrFail(snapshot->TryExplain(c, q)),
+                        direct.Explain(c, q));
+    for (const Semantics semantics :
+         {Semantics::kBoundary, Semantics::kStrict}) {
+      ExpectMwpEq(ValueOrFail(snapshot->TryModifyWhyNot(c, q, semantics)),
+                  direct.ModifyWhyNot(c, q, semantics));
+      ExpectMqpEq(ValueOrFail(snapshot->TryModifyQuery(c, q, semantics)),
+                  direct.ModifyQuery(c, q, semantics));
+      ExpectMwqEq(ValueOrFail(snapshot->TryModifyBoth(c, q, semantics)),
+                  direct.ModifyBoth(c, q, semantics));
+      ExpectMwqEq(
+          ValueOrFail(snapshot->TryModifyBothApprox(c, q, semantics)),
+          direct.ModifyBothApprox(c, q, semantics));
+    }
+    const auto sr = ValueOrFail(snapshot->TrySafeRegion(q));
+    ASSERT_NE(sr, nullptr);
+    ExpectSafeRegionEq(*sr, *direct.SafeRegion(q));
+    const auto approx_sr = ValueOrFail(snapshot->TryApproxSafeRegion(q));
+    ASSERT_NE(approx_sr, nullptr);
+    ExpectSafeRegionEq(*approx_sr, *direct.ApproxSafeRegion(q));
+    for (const bool use_approx : {false, true}) {
+      const std::vector<MwqResult> got = ValueOrFail(
+          snapshot->TryModifyBothBatch(whos, q, use_approx,
+                                       Semantics::kBoundary));
+      const std::vector<MwqResult> want =
+          direct.ModifyBothBatch(whos, q, use_approx);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) ExpectMwqEq(got[i], want[i]);
+    }
+  };
+  {
+    SCOPED_TRACE("EngineBackend");
+    expect_matches(serve::EngineBackend(&single), single.Snapshot());
+  }
+  {
+    SCOPED_TRACE("ShardedBackend");
+    expect_matches(ShardedBackend(&shd), shd.Snapshot());
+  }
+}
+
+// The sharded coordinator's RSL memo is the single engine's, metrics
+// included: a miss, then a hit.
+TEST(ShardMetricsTest, ReverseSkylineMemoCountsLikeSingleEngine) {
+  const Dataset ds = GenerateCarDb(80, 6);
+  WhyNotEngine single{Dataset(ds)};
+  ShardedEngineOptions options;
+  options.num_shards = 4;
+  ShardedEngine shd{Dataset(ds), options};
+  const Point q = ds.points[3];
+  for (const QuerySession& snapshot :
+       {QuerySession(single.Snapshot()), QuerySession(shd.Snapshot())}) {
+    const MetricsRegistry& registry = MetricsRegistry::Default();
+    const QueryStats start = registry.CaptureQueryStats();
+    ASSERT_TRUE(snapshot.TryReverseSkyline(q).ok());
+    const QueryStats first = registry.CaptureQueryStats() - start;
+    EXPECT_EQ(first.rsl_cache_misses, 1u);
+    EXPECT_EQ(first.rsl_cache_hits, 0u);
+    ASSERT_TRUE(snapshot.TryReverseSkyline(q).ok());
+    const QueryStats second = registry.CaptureQueryStats() - start;
+    EXPECT_EQ(second.rsl_cache_misses, 1u);
+    EXPECT_EQ(second.rsl_cache_hits, 1u);
+  }
 }
 
 // StrTiles is the partitioner the sharded engine is built on; pin its
